@@ -4,7 +4,7 @@ The patch grid and its two attention directions
 
 A lookback window [T x N] becomes a grid of patch tokens [M x N x D].
 Horizontal attention mixes a variate's patches across time; vertical
-attention mixes the variates at one patch position. Vertical is literally
+attention mixes the variates at one patch position. Vertical equals
 horizontal applied to the transposed grid, and this script shows it.
 """
 

@@ -3,8 +3,9 @@
 The activation grid is [B x M x N x D]: M patch tokens, N variates, width D.
 A horizontal layer runs attention among each variate's M patch tokens; a
 vertical layer runs attention among the N variate tokens at each patch step.
-Vertical application is literally transpose -> horizontal -> transpose, so the
-two directions share one code path.
+Both directions run the same ``encoder_layer`` over the trailing [L x D] axes:
+horizontal on the grid viewed as [B x N x M x D], vertical on the grid as it
+is, which equals transpose -> horizontal -> transpose without the permutes.
 """
 
 from __future__ import annotations
@@ -20,6 +21,13 @@ from gridcast.tensor import BatchNormState, Tensor, batch_norm, dropout
 DIRECTIONS = ("horizontal", "vertical")
 SEQUENCING_MODES = ("channel_first", "time_first", "alternate")
 COST_MODES = SEQUENCING_MODES + ("horizontal_only", "vertical_only")
+
+
+def xavier_uniform(rng: np.random.Generator, *shape) -> Tensor:
+    """Trainable Xavier-uniform weights, fans from the trailing two axes."""
+    fan_in, fan_out = shape[-2], shape[-1]
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
 
 
 @dataclass
@@ -49,19 +57,13 @@ class AttentionParams:
         if D % H != 0:
             raise ConfigError(f"head count {H} must divide model width {D}")
         d_k = D // H
-
-        def xavier(*shape):
-            fan_in, fan_out = shape[-2], shape[-1]
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
-
         return cls(
-            w_query=xavier(H, D, d_k),
-            w_key=xavier(H, D, d_k),
-            w_value=xavier(H, D, d_k),
-            w_out=xavier(H * d_k, D),
-            ffn_in=xavier(D, D_ff),
-            ffn_out=xavier(D_ff, D),
+            w_query=xavier_uniform(rng, H, D, d_k),
+            w_key=xavier_uniform(rng, H, D, d_k),
+            w_value=xavier_uniform(rng, H, D, d_k),
+            w_out=xavier_uniform(rng, H * d_k, D),
+            ffn_in=xavier_uniform(rng, D, D_ff),
+            ffn_out=xavier_uniform(rng, D_ff, D),
             norm1_gamma=Tensor(np.ones(D), requires_grad=True),
             norm1_beta=Tensor(np.zeros(D), requires_grad=True),
             norm2_gamma=Tensor(np.ones(D), requires_grad=True),
@@ -109,14 +111,16 @@ def scaled_dot_attention(Q: Tensor, K: Tensor, V: Tensor) -> tuple:
     """Full bidirectional attention: softmax(Q K^T / sqrt(d_k)) V.
 
     Accepts any leading batch axes; rows of the returned weights sum to 1.
-    Returns (output, weights).
+    Returns (output, weights). The scale is applied to the [.., L, d_k]
+    queries rather than to the [.., L, L] scores, which is cheaper and keeps
+    no unscaled score matrix alive for backward.
     """
     d_k = Q.shape[-1]
     if K.shape[-1] != d_k:
         raise ShapeError(f"query width {d_k} != key width {K.shape[-1]}")
     if K.shape[-2] != V.shape[-2]:
         raise ShapeError(f"key count {K.shape[-2]} != value count {V.shape[-2]}")
-    scores = (Q @ _swap_last_two(K)) * (1.0 / np.sqrt(d_k))
+    scores = (Q * (1.0 / np.sqrt(d_k))) @ _swap_last_two(K)
     weights = scores.softmax(axis=-1)
     return weights @ V, weights
 
@@ -209,10 +213,12 @@ def apply_horizontal(grid: Tensor, params: AttentionParams, **layer_kw) -> Tenso
 def apply_vertical(grid: Tensor, params: AttentionParams, **layer_kw) -> Tensor:
     """Run the encoder layer over the N variate tokens at each patch step.
 
-    Implemented exactly as transpose -> apply_horizontal -> transpose so both
-    directions share one code path.
+    The grid's trailing axes are already [N x D], so the layer runs on it
+    directly; the result equals transpose -> apply_horizontal -> transpose.
     """
-    return grid_transpose(apply_horizontal(grid_transpose(grid), params, **layer_kw))
+    if grid.ndim != 4:
+        raise ShapeError(f"expected a 4-d grid, got shape {grid.shape}")
+    return encoder_layer(grid, params, **layer_kw)
 
 
 def sequence_directions(mode: str, n_layers: int) -> list:

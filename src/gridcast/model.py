@@ -22,6 +22,7 @@ from gridcast.attention import (
     apply_horizontal,
     apply_vertical,
     sequence_directions,
+    xavier_uniform,
 )
 from gridcast.embed import embed_grid, pad_tail, patch_count, revin_denormalize, revin_normalize
 from gridcast.errors import ConfigError, ShapeError
@@ -103,20 +104,14 @@ def build(config: ModelConfig, rng: Optional[np.random.Generator] = None) -> Mod
     if rng is None:
         rng = np.random.default_rng(config.seed)
     M, D = config.M, config.D
-
-    def xavier(*shape):
-        fan_in, fan_out = shape[-2], shape[-1]
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
-
     return ModelParams(
-        W_p=xavier(config.P, D),
-        W_pos=xavier(M, D),
+        W_p=xavier_uniform(rng, config.P, D),
+        W_pos=xavier_uniform(rng, M, D),
         layers=[
             AttentionParams.init(D, config.H, config.D_ff, rng) for _ in range(config.L)
         ],
         directions=sequence_directions(config.mode, config.L),
-        head_w=xavier(M * D, config.F),
+        head_w=xavier_uniform(rng, M * D, config.F),
         head_b=Tensor(np.zeros(config.F), requires_grad=True),
     )
 

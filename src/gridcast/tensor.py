@@ -258,14 +258,17 @@ class Tensor:
         if not (-self.ndim <= axis < self.ndim):
             raise ShapeError(f"softmax axis {axis} invalid for shape {self.shape}")
         ax = axis % self.ndim
-        if np.isnan(self.data).any():
-            raise NumericError("softmax input contains NaN")
-        shifted = self.data - self.data.max(axis=ax, keepdims=True)
-        exp = np.exp(shifted)
-        s = exp / exp.sum(axis=ax, keepdims=True)
+        if not np.isfinite(self.data).all():
+            raise NumericError("softmax input contains NaN or inf")
+        # one output buffer: shift, exponentiate and normalize in place
+        s = self.data - self.data.max(axis=ax, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=ax, keepdims=True)
 
         def vjp(g):
-            return (s * (g - (g * s).sum(axis=ax, keepdims=True)),)
+            gs = g - (g * s).sum(axis=ax, keepdims=True)
+            gs *= s
+            return (gs,)
 
         return Tensor._make(s, (self,), vjp)
 
@@ -274,7 +277,7 @@ class Tensor:
         k = math.sqrt(2.0 / math.pi)
         c = 0.044715
         x = self.data
-        t = np.tanh(k * (x + c * x**3))
+        t = np.tanh(k * (x + c * (x * x * x)))  # x**3 takes numpy's slow generic pow
         out_data = 0.5 * x * (1.0 + t)
 
         def vjp(g):
@@ -362,7 +365,10 @@ def batch_norm(
 
     Training mode uses biased batch statistics and folds them into `state`;
     inference mode uses the running statistics. Fully differentiable in x,
-    gamma and beta, including through the batch statistics.
+    gamma and beta, including through the batch statistics. In training mode
+    the normalization is one graph node whose backward is the closed form
+    inv_std * (g - mean(g) - x_hat * mean(g * x_hat)) over `axes`
+    (Ioffe & Szegedy, arXiv 1502.03167); the affine map stays ordinary ops.
     """
     if axes is None:
         axes = tuple(range(x.ndim - 1))
@@ -372,12 +378,21 @@ def batch_norm(
             f"feature extent {x.shape[-1]}"
         )
     if training:
-        mu = x.mean(axis=axes, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=axes, keepdims=True)
+        inv_n = 1.0 / math.prod(x.shape[a] for a in axes)
+        mu = x.data.sum(axis=axes, keepdims=True) * inv_n
+        centered = x.data - mu
+        var = (centered * centered).sum(axis=axes, keepdims=True) * inv_n
         inv_std = (var + eps) ** -0.5
-        x_hat = centered * inv_std
-        state.update(mu.data.copy(), var.data.copy())
+        x_hat_data = centered * inv_std
+        state.update(mu, var)
+
+        def vjp(g):
+            gx = g - g.sum(axis=axes, keepdims=True) * inv_n
+            gx -= x_hat_data * ((g * x_hat_data).sum(axis=axes, keepdims=True) * inv_n)
+            gx *= inv_std
+            return (gx,)
+
+        x_hat = Tensor._make(x_hat_data, (x,), vjp)
     else:
         if state.running_mean is None:
             mean_shape = tuple(

@@ -17,7 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from gridcast.attention import sequence_directions
+from gridcast.attention import count_attention_cost
 from gridcast.data import TimeSeriesDataset, make_windows, n_windows
 from gridcast.errors import (
     ConfigError,
@@ -185,12 +185,6 @@ class TrainReport:
     steps: int = 0
 
 
-def _vertical_entries(config: ModelConfig, n_active: int) -> int:
-    directions = sequence_directions(config.mode, config.L)
-    vertical_layers = sum(1 for d in directions if d == "vertical")
-    return vertical_layers * config.M * n_active * n_active
-
-
 def _snapshot(params: ModelParams) -> dict:
     return {
         "params": {name: t.data.copy() for name, t in params.named_parameters()},
@@ -235,7 +229,9 @@ def train(
     n_active = max(1, round(hyper.variate_ratio * train_ds.channels))
     report = TrainReport(
         variate_ratio=hyper.variate_ratio,
-        vertical_entries_per_batch=_vertical_entries(config, n_active),
+        vertical_entries_per_batch=count_attention_cost(
+            config.M, n_active, config.D, config.mode, config.L
+        ).vertical_entries,
     )
     log_fh = open(hyper.log_path, "w") if hyper.log_path else None
     best = _snapshot(params)

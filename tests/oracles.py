@@ -1,12 +1,16 @@
 """Slow, loop-heavy reference implementations used to cross-check the package.
 
-Everything here is deliberately written as straight-line numpy with explicit
-Python loops over variates, patch steps, tokens, and heads, so it shares no
-code path with the library it checks. Inference-mode only (norm layers use
-running statistics, which default to zero mean / unit variance).
+The model oracles are deliberately written as straight-line numpy with
+explicit Python loops over variates, patch steps, tokens, and heads, so they
+share no code path with the library they check. They are inference-mode only
+(norm layers use running statistics, which default to zero mean / unit
+variance). The graph references at the end are the composite forms of the
+fused ops, built from the library's primitive Tensor ops.
 """
 
 import numpy as np
+
+from gridcast.tensor import Tensor
 
 
 def np_gelu(x):
@@ -95,3 +99,28 @@ def mae_oracle(a, b):
         total += abs(a[idx] - b[idx])
         count += 1
     return total / count
+
+
+def batch_norm_composite(x, gamma, beta, axes=None, eps=1e-5):
+    """Training-mode batch norm as a graph of primitive ops; the reference
+    for the single-node ``batch_norm``, whose forward arithmetic it shares."""
+    if axes is None:
+        axes = tuple(range(x.ndim - 1))
+    mu = x.mean(axis=axes, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=axes, keepdims=True)
+    x_hat = centered * (var + eps) ** -0.5
+    return x_hat * gamma + beta
+
+
+def softmax_three_temporaries(x, axis=-1):
+    """Softmax node with a separate array per step, the reference for the
+    in-place ``Tensor.softmax``."""
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    exp = np.exp(shifted)
+    s = exp / exp.sum(axis=axis, keepdims=True)
+
+    def vjp(g):
+        return (s * (g - (g * s).sum(axis=axis, keepdims=True)),)
+
+    return Tensor._make(s, (x,), vjp)

@@ -86,6 +86,20 @@ def test_attention_gradients():
     assert grad_check(fn, inputs) < 1e-3
 
 
+def test_attention_gradients_grouped_heads():
+    # [G, H, L, d_k] as multi_head passes them; d_k = 3 makes the query scale
+    # 1/sqrt(3), which is not a power of two
+    r = rng(8)
+    inputs = [Tensor(r.normal(size=(2, 2, 4, 3))) for _ in range(3)]
+    weight = Tensor(r.normal(size=(2, 2, 4, 3)))
+
+    def fn(ts):
+        out, _ = scaled_dot_attention(ts[0], ts[1], ts[2])
+        return (out * weight).sum()
+
+    assert grad_check(fn, inputs) < 1e-3
+
+
 # -- multi_head --------------------------------------------------------------
 
 

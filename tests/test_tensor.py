@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from gridcast.errors import NumericError, ShapeError
 from gridcast.tensor import (
     BatchNormState,
@@ -94,6 +95,26 @@ def test_softmax_nan_raises():
         Tensor([1.0, float("nan")]).softmax(axis=0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_softmax_inf_raises(bad):
+    with pytest.raises(NumericError):
+        Tensor([[0.0, bad]]).softmax()
+
+
+@pytest.mark.parametrize("axis", [-1, 1])
+def test_softmax_matches_three_temporary_reference(axis):
+    r = rng(7)
+    x = r.normal(size=(2, 3, 5, 5)) * 4.0
+    weight = Tensor(r.normal(size=x.shape))
+    a, b = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+    out = a.softmax(axis=axis)
+    ref = oracles.softmax_three_temporaries(b, axis=axis)
+    (out * weight).sum().backward()
+    (ref * weight).sum().backward()
+    assert (out.data == ref.data).all()
+    assert (a.grad == b.grad).all()
+
+
 # -- batch norm --------------------------------------------------------------
 
 
@@ -132,6 +153,26 @@ def test_batch_norm_zero_variance_clamped_not_error():
     x = Tensor(np.full((3, 2), 5.0))
     out = batch_norm(x, Tensor.ones(2), Tensor.zeros(2), BatchNormState(), training=True)
     assert np.isfinite(out.data).all()
+
+
+@pytest.mark.parametrize("shape", [(6, 4), (2, 3, 5, 4)])
+@pytest.mark.parametrize("axes", [None, (0, 1)])
+def test_batch_norm_matches_composite_reference(shape, axes):
+    r = rng(8)
+    arrays = (r.normal(size=shape) * 3.0 + 1.0, r.normal(size=4), r.normal(size=4))
+    weight = Tensor(r.normal(size=shape))
+
+    def run(norm):
+        ts = [Tensor(a, requires_grad=True) for a in arrays]
+        out = norm(*ts)
+        (out * weight).sum().backward()
+        return out.data, [t.grad for t in ts]
+
+    out, grads = run(lambda x, g, b: batch_norm(x, g, b, BatchNormState(), True, axes=axes))
+    ref, ref_grads = run(lambda x, g, b: oracles.batch_norm_composite(x, g, b, axes=axes))
+    assert (out == ref).all()
+    for got, want in zip(grads, ref_grads):
+        np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
 # -- gelu --------------------------------------------------------------------
@@ -303,6 +344,20 @@ def test_grad_check_batch_norm_training():
     def fn(ts):
         out = batch_norm(ts[0], ts[1], ts[2], BatchNormState(), training=True)
         return (out * out).sum()
+
+    assert grad_check(fn, [x, gamma, beta]) < 1e-3
+
+
+def test_grad_check_batch_norm_training_4d_batch_axes():
+    r = rng(16)
+    x = Tensor(r.normal(size=(2, 3, 2, 3)))
+    gamma = Tensor(r.normal(size=(3,)))
+    beta = Tensor(r.normal(size=(3,)))
+    weight = Tensor(r.normal(size=(2, 3, 2, 3)))
+
+    def fn(ts):
+        out = batch_norm(ts[0], ts[1], ts[2], BatchNormState(), training=True, axes=(0, 1))
+        return (out * out * weight).sum()
 
     assert grad_check(fn, [x, gamma, beta]) < 1e-3
 
