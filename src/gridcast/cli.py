@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import io
 import json
@@ -40,9 +41,15 @@ from gridcast.model import (
     forward,
     load_checkpoint,
     save_checkpoint,
+    write_atomic,
 )
 from gridcast.tensor import no_grad
 from gridcast.train import evaluate, persistence_baseline, train
+
+# glibc mallopt(3) parameters, and the size below which freed memory stays mapped.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_KEEP_FREED_BYTES = 1 << 30
 
 RESULTS_HEADER = ["dataset", "T", "F", "mode", "ratio", "seed", "mse", "mae", "wall_s"]
 
@@ -84,7 +91,7 @@ def _write_results(path_or_none, rows: List[list], extra_columns=()) -> str:
     writer.writerows(rows)
     text = buf.getvalue()
     if path_or_none:
-        with open(path_or_none, "w", newline="") as fh:
+        with write_atomic(path_or_none, newline="") as fh:
             fh.write(text)
     return text
 
@@ -121,7 +128,7 @@ def cmd_train(args) -> int:
         log_path = os.path.join(run.out_dir, f"epochs_F{F}.jsonl")
         report = train(params, cfg, splits, run.to_hyper(log_path))
         save_checkpoint(os.path.join(run.out_dir, f"model_F{F}.ckpt"), params, cfg)
-        with open(os.path.join(run.out_dir, f"report_F{F}.json"), "w") as fh:
+        with write_atomic(os.path.join(run.out_dir, f"report_F{F}.json")) as fh:
             json.dump(dataclasses.asdict(report), fh, indent=2)
         rows.append(
             _result_row(
@@ -302,7 +309,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_memory() -> None:
+    """Ask glibc to keep freed blocks below 1 GiB mapped for reuse.
+
+    Sets the mmap threshold first: setting either value turns off glibc's
+    dynamic threshold, and the trim threshold alone makes things worse, so it
+    is set only once the first call succeeded. A silent no-op where the C
+    library has no ``mallopt`` or rejects the value.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no C library handle, or no mallopt
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _KEEP_FREED_BYTES) == 1:
+        mallopt(_M_TRIM_THRESHOLD, _KEEP_FREED_BYTES)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one subcommand and return its exit code (0, 1 or 2).
+
+    On glibc the process keeps freed memory mapped (see ``_keep_freed_memory``).
+    Arrays above glibc's 32 MB dynamic mmap ceiling, such as the N x N
+    attention scores at N=128, are otherwise mapped fresh and page-faulted back
+    in on every training step, which costs as much kernel time as a third of
+    the step. The cost is that resident memory stays at its peak until the
+    process exits. Library callers of ``train()`` can get the same behaviour by
+    setting both ``MALLOC_MMAP_THRESHOLD_`` and ``MALLOC_TRIM_THRESHOLD_`` in
+    the environment before the process starts.
+    """
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

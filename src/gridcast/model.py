@@ -7,9 +7,11 @@ the sequencing mode -> a flatten head shared across variates -> denormalize.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
+import zipfile
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
@@ -193,8 +195,28 @@ def export_attention(maps: Optional[List[AttentionMap]], out_dir) -> list:
     return paths
 
 
+@contextlib.contextmanager
+def write_atomic(path, mode: str = "w", **open_kwargs):
+    """Open a temporary file beside ``path`` for writing and yield it.
+
+    When the block ends normally the file is closed and ``os.replace``d onto
+    ``path``; when it raises, the temporary file is removed and ``path`` keeps
+    its previous contents. Readers never see a half-written ``path``.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
-    """Serialize config, parameters, and norm running stats into one npz file."""
+    """Serialize config, parameters, and norm running stats into one npz file,
+    written atomically."""
     arrays = {
         "__magic__": np.array(CHECKPOINT_MAGIC),
         "__config__": np.array(json.dumps(asdict(config))),
@@ -206,7 +228,7 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
             if state.running_mean is not None:
                 arrays[f"state/layers.{i}.{tag}.running_mean"] = state.running_mean
                 arrays[f"state/layers.{i}.{tag}.running_var"] = state.running_var
-    with open(path, "wb") as fh:
+    with write_atomic(path, "wb") as fh:
         np.savez(fh, **arrays)
 
 
@@ -214,12 +236,15 @@ def load_checkpoint(path) -> tuple:
     """Restore (params, config) from ``save_checkpoint`` output."""
     try:
         archive = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
     with archive:
         if "__magic__" not in archive or str(archive["__magic__"][()]) != CHECKPOINT_MAGIC:
             raise ConfigError(f"{path} is not a {CHECKPOINT_MAGIC} file")
-        config = ModelConfig(**json.loads(str(archive["__config__"][()])))
+        try:
+            config = ModelConfig(**json.loads(str(archive["__config__"][()])))
+        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"checkpoint {path} has no valid model config: {exc}") from exc
         params = build(config)
         for name, tensor in params.named_parameters():
             key = "param/" + name

@@ -234,6 +234,7 @@ def train(
         ).vertical_entries,
     )
     log_fh = open(hyper.log_path, "w") if hyper.log_path else None
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     best = _snapshot(params)
     best_val = float("inf")
     stale = 0
@@ -285,6 +286,7 @@ def train(
             report.val_mae.append(v_mae)
             report.epochs_run = epoch + 1
             if log_fh:
+                now = resource.getrusage(resource.RUSAGE_SELF)
                 log_fh.write(
                     json.dumps(
                         {
@@ -293,10 +295,16 @@ def train(
                             "val_mse": v_mse,
                             "val_mae": v_mae,
                             "wall_s": round(time.monotonic() - t0, 3),
+                            "cpu_s": round(
+                                now.ru_utime + now.ru_stime - usage.ru_utime - usage.ru_stime, 3
+                            ),
+                            "sys_s": round(now.ru_stime - usage.ru_stime, 3),
+                            "minor_faults": now.ru_minflt - usage.ru_minflt,
                         }
                     )
                     + "\n"
                 )
+                usage = now
                 log_fh.flush()
             if v_mse < best_val:
                 best_val = v_mse

@@ -1,10 +1,16 @@
 import csv
+import ctypes
 import json
 import os
+import platform
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
 
+import gridcast
 from gridcast.cli import RESULTS_HEADER, main
 from gridcast.config import load_run_config
 from gridcast.data import synthetic_long_memory, synthetic_sines
@@ -77,6 +83,9 @@ def test_train_artifacts(workspace):
     assert (out / "train_stats.csv").exists()
     lines = [json.loads(l) for l in (out / "epochs_F8.jsonl").read_text().splitlines()]
     assert len(lines) == 2 and lines[1]["epoch"] == 1
+    for line in lines:
+        for key in ("cpu_s", "sys_s", "minor_faults"):
+            assert line[key] >= 0, key
     report = json.loads((out / "report_F8.json").read_text())
     assert report["epochs_run"] == 2
     snapshot = load_run_config(out / "config.txt")
@@ -247,6 +256,17 @@ def test_forecast_wrong_window_shape(workspace, tmp_path, capsys):
     assert "rows" in capsys.readouterr().err
 
 
+def test_eval_truncated_checkpoint_is_one_line_error(workspace, tmp_path, capsys):
+    ckpt = tmp_path / "cut.ckpt"
+    data = (workspace["out"] / "model_F8.ckpt").read_bytes()
+    ckpt.write_bytes(data[: len(data) // 2])
+    code = main(["eval", "--config", str(workspace["cfg"]), "--checkpoint", str(ckpt)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cut.ckpt" in err
+    assert err.count("\n") == 1
+
+
 # -- export-attention --------------------------------------------------------
 
 
@@ -352,6 +372,62 @@ def test_lookback_sweep_rejects_short_length(workspace, tmp_path, capsys):
     )
     assert code == 2
     assert "patch length" in capsys.readouterr().err
+
+
+# -- allocator settings ------------------------------------------------------
+
+FAULTS_AFTER_MAIN = """
+import resource, sys
+import numpy as np
+from gridcast.cli import main
+
+assert main(["eval", "--checkpoint", sys.argv[1]]) == 2
+n = 64 * 2**20 // 8
+np.ones(n)  # the first cycle maps and touches the pages
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    np.ones(n)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="mallopt thresholds are glibc-specific",
+)
+def test_main_keeps_freed_memory_mapped(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gridcast.__file__)))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULTS_AFTER_MAIN, str(tmp_path / "absent.ckpt")],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert int(proc.stdout.split()[-1]) < 100
+
+
+def test_main_runs_without_a_c_library(workspace, monkeypatch, tmp_path):
+    def no_library(name):
+        raise OSError("cannot load the C library")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    path, _ = window_csv(workspace, tmp_path)
+    checkpoint = str(workspace["out"] / "model_F8.ckpt")
+    assert main(["forecast", "--checkpoint", checkpoint, "--window", str(path)]) == 0
+
+
+def test_main_leaves_trim_threshold_when_mallopt_rejects(workspace, monkeypatch, tmp_path):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 0
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    path, _ = window_csv(workspace, tmp_path)
+    checkpoint = str(workspace["out"] / "model_F8.ckpt")
+    assert main(["forecast", "--checkpoint", checkpoint, "--window", str(path)]) == 0
+    assert calls == [(-3, 1 << 30)]  # M_MMAP_THRESHOLD only
 
 
 # -- argparse plumbing -------------------------------------------------------

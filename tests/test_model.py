@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -350,6 +351,60 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     text.write_bytes(b"not an archive")
     with pytest.raises(ConfigError):
         load_checkpoint(text)
+
+
+def saved_checkpoint(tmp_path):
+    cfg = small_config()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, build(cfg), cfg)
+    return path
+
+
+def rewrite_config(path, text):
+    archive = dict(np.load(path, allow_pickle=False))
+    archive["__config__"] = np.array(text)
+    with open(path, "wb") as fh:
+        np.savez(fh, **archive)
+
+
+def test_checkpoint_rejects_truncated_file(tmp_path):
+    path = saved_checkpoint(tmp_path)
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    with pytest.raises(ConfigError, match="cannot read checkpoint"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_unknown_config_key(tmp_path):
+    path = saved_checkpoint(tmp_path)
+    config = json.loads(str(np.load(path, allow_pickle=False)["__config__"][()]))
+    config["colour"] = "blue"
+    rewrite_config(path, json.dumps(config))
+    with pytest.raises(ConfigError, match="colour"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_non_json_config(tmp_path):
+    path = saved_checkpoint(tmp_path)
+    rewrite_config(path, "{T: 32,")
+    with pytest.raises(ConfigError, match="no valid model config"):
+        load_checkpoint(path)
+
+
+def test_save_checkpoint_failure_keeps_previous_file(tmp_path, monkeypatch):
+    path = saved_checkpoint(tmp_path)
+    before = path.read_bytes()
+
+    def savez_then_fail(fh, **arrays):
+        fh.write(before[:100])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", savez_then_fail)
+    cfg = small_config(D=16)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, build(cfg), cfg)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.ckpt"]
 
 
 def test_checkpoint_missing_parameter(tmp_path):
