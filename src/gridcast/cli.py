@@ -51,6 +51,17 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _KEEP_FREED_BYTES = 1 << 30
 
+# Bad input, exit 2: a config or data error, or a path argument that names a
+# missing file, a file where a directory belongs, or the reverse.
+_USAGE_ERRORS = (
+    ConfigError,
+    DataError,
+    FileNotFoundError,
+    FileExistsError,
+    IsADirectoryError,
+    NotADirectoryError,
+)
+
 RESULTS_HEADER = ["dataset", "T", "F", "mode", "ratio", "seed", "mse", "mae", "wall_s"]
 
 
@@ -197,7 +208,7 @@ def cmd_forecast(args) -> int:
         writer.writerow([repr(float(v)) for v in row])
     text = buf.getvalue()
     if args.out_file:
-        with open(args.out_file, "w", newline="") as fh:
+        with write_atomic(args.out_file, newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -344,13 +355,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GridcastError as exc:
+    except (GridcastError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

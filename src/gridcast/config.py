@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from gridcast.errors import ConfigError
-from gridcast.model import ModelConfig
+from gridcast.model import ModelConfig, write_atomic
 from gridcast.train import TrainHyper
 
 
@@ -171,7 +171,7 @@ def load_run_config(path) -> RunConfig:
 
 
 def save_run_config(config: RunConfig, path) -> None:
-    with open(path, "w") as fh:
+    with write_atomic(path) as fh:
         fh.write(serialize_run_config(config))
 
 

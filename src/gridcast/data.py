@@ -16,6 +16,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from gridcast.errors import DataError
+from gridcast.model import write_atomic
 
 ColumnKey = Union[int, str]
 
@@ -264,7 +265,7 @@ def destandardize(values: np.ndarray, stats: VariateStats) -> np.ndarray:
 
 
 def save_stats(stats: VariateStats, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with write_atomic(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variate_index", "mean", "std"])
         for i, (m, s) in enumerate(zip(stats.mean, stats.std)):

@@ -184,7 +184,7 @@ def export_attention(maps: Optional[List[AttentionMap]], out_dir) -> list:
     paths = []
     for amap in maps:
         path = os.path.join(out_dir, f"attention_layer{amap.layer_index}_{amap.direction}.csv")
-        with open(path, "w", newline="") as fh:
+        with write_atomic(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["row_index", "col_index", "weight"])
             rows, cols = amap.weights.shape

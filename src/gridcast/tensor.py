@@ -1,14 +1,26 @@
 """Dense float64 tensor with reverse-mode automatic differentiation.
 
-The graph is closure-based: every op stores its parents and a vjp
-(vector-Jacobian product) function. ``backward()`` walks the graph once in
-reverse topological order and accumulates gradients into the ``.grad`` of
+The graph is closure-based and lives in small nodes, not in the tensors:
+every op output that needs a gradient owns a node holding its vjp
+(vector-Jacobian product) function and the nodes of its parents, None for a
+parent that needs no gradient. ``backward()`` walks the nodes once in reverse
+topological order and accumulates gradients into the ``.grad`` of
 requires_grad leaves. Graphs are meant to be rebuilt per forward pass.
+
+What a graph keeps alive is what its vjps captured and nothing else. A node
+does not refer to its output tensor, so an intermediate tensor that no caller
+holds, such as the raw attention scores that softmax consumes or a residual
+sum fed to batch_norm, is freed as soon as its forward use ends. A leaf's node
+refers to its tensor weakly: the tensor owns the node, never the reverse, and
+a leaf nobody holds any more simply receives no gradient. Dropping the root
+of a graph (the loss and every tensor computed on the way to it) frees the
+whole graph by reference counting.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,17 +62,54 @@ def _as_array(value) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
 
-class Tensor:
-    """n-d float64 array plus optional gradient and graph bookkeeping."""
+class _Node:
+    """One vertex of the backward graph.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    ``vjp`` maps the output gradient to one gradient per parent; it is None
+    for a leaf, whose ``leaf`` is a weak reference to its Tensor. ``parents``
+    holds the parents' nodes, None where a parent needs no gradient.
+    """
+
+    __slots__ = ("vjp", "parents", "leaf")
+
+    def __init__(self, vjp, parents: tuple, leaf=None):
+        self.vjp = vjp
+        self.parents = parents
+        self.leaf = leaf
+
+
+class Tensor:
+    """n-d float64 array plus optional gradient and graph node."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp = None
+        self._node: _Node | None = None
+
+    @property
+    def _vjp(self):
+        """The vjp of the op that made this tensor; None without a graph."""
+        return None if self._node is None else self._node.vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp) -> None:
+        self._node.vjp = vjp
+
+    @property
+    def _parents(self) -> tuple:
+        """Nodes of the parents of the op that made this tensor; empty for a
+        leaf and for a tensor built without a graph."""
+        return () if self._node is None else self._node.parents
+
+    def _grad_node(self) -> _Node:
+        """This tensor's node, created on first use for a requires_grad leaf,
+        so each leaf has exactly one node however often it is used."""
+        if self._node is None:
+            self._node = _Node(None, (), weakref.ref(self))
+        return self._node
 
     # -- construction helpers ------------------------------------------------
 
@@ -77,8 +126,9 @@ class Tensor:
         out = cls(data)
         if _GRAD_ENABLED and any(p.requires_grad for p in parents):
             out.requires_grad = True
-            out._parents = parents
-            out._vjp = vjp
+            out._node = _Node(
+                vjp, tuple(p._grad_node() if p.requires_grad else None for p in parents)
+            )
         return out
 
     # -- basic introspection -------------------------------------------------
@@ -296,10 +346,12 @@ class Tensor:
         """
         if self.size != 1:
             raise ShapeError(f"backward requires a scalar, got shape {self.shape}")
-
-        ordered: list[Tensor] = []
+        if not self.requires_grad:
+            return
+        root = self._grad_node()
+        ordered: list[_Node] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -309,21 +361,22 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad:
+            for parent in node.parents:
+                if parent is not None:
                     stack.append((parent, False))
 
-        flowing: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        flowing: dict[int, np.ndarray] = {id(root): np.ones_like(self.data)}
         for node in reversed(ordered):
             g = flowing.pop(id(node), None)
             if g is None:
                 continue
-            if node._vjp is None:
-                if node.requires_grad:
-                    node.grad = g if node.grad is None else node.grad + g
+            if node.vjp is None:
+                leaf = node.leaf()
+                if leaf is not None and leaf.requires_grad:
+                    leaf.grad = g if leaf.grad is None else leaf.grad + g
                 continue
-            for parent, pg in zip(node._parents, node._vjp(g)):
-                if not parent.requires_grad:
+            for parent, pg in zip(node.parents, node.vjp(g)):
+                if parent is None:
                     continue
                 key = id(parent)
                 if key in flowing:

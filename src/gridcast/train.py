@@ -185,6 +185,20 @@ class TrainReport:
     steps: int = 0
 
 
+def _grad_norm_stats(norms: list, clip_norm: float) -> dict:
+    """Median and largest pre-clip gradient norm of an epoch's steps, and the
+    share of steps ``clip_gradients`` scaled down; None without a gradient."""
+    if not norms:
+        return {"grad_norm_p50": None, "grad_norm_max": None, "clipped_frac": None}
+    values = np.asarray(norms)
+    clipped = (values > clip_norm) & (values > 0)  # clip_gradients' condition
+    return {
+        "grad_norm_p50": float(np.median(values)),
+        "grad_norm_max": float(values.max()),
+        "clipped_frac": float(clipped.mean()),
+    }
+
+
 def _snapshot(params: ModelParams) -> dict:
     return {
         "params": {name: t.data.copy() for name, t in params.named_parameters()},
@@ -238,9 +252,37 @@ def train(
     best = _snapshot(params)
     best_val = float("inf")
     stale = 0
+
+    def run_step(inputs, targets, epoch, step) -> tuple:
+        """Forward, backward and update on one batch: (loss, pre-clip gradient
+        norm, None when frozen). The batch's graph lives only in this frame,
+        so it is freed before the next forward and before evaluation."""
+        try:
+            pred, _ = forward(inputs, params, config, training=not frozen, rng=rng)
+            loss = mse(pred, targets)
+        except NumericError as exc:
+            raise DivergenceError(
+                f"training diverged: {exc} at epoch {epoch} step {step} "
+                f"(lr={hyper.lr}, batch={hyper.batch_size})"
+            ) from exc
+        value = loss.item()
+        if not np.isfinite(value):
+            raise DivergenceError(
+                f"training diverged: loss={value} at epoch {epoch} "
+                f"step {step} (lr={hyper.lr}, batch={hyper.batch_size})"
+            )
+        if frozen:
+            return value, None
+        for _, t in named:
+            t.zero_grad()
+        loss.backward()
+        norm = clip_gradients(named, hyper.clip_norm)
+        adam_step(named, {name: t.grad for name, t in named}, optim)
+        return value, norm
+
     try:
         for epoch in range(hyper.max_epochs):
-            losses = []
+            losses, norms = [], []
             for step, batch in enumerate(
                 make_windows(
                     train_ds,
@@ -255,31 +297,11 @@ def train(
                 if hyper.variate_ratio < 1.0:
                     sub = sample_variates(train_ds.channels, hyper.variate_ratio, rng)
                     inputs, targets = inputs[:, :, sub], targets[:, :, sub]
-                try:
-                    pred, _ = forward(
-                        inputs, params, config, training=not frozen, rng=rng
-                    )
-                    loss = mse(pred, targets)
-                except NumericError as exc:
-                    raise DivergenceError(
-                        f"training diverged: {exc} at epoch {epoch} step {step} "
-                        f"(lr={hyper.lr}, batch={hyper.batch_size})"
-                    ) from exc
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise DivergenceError(
-                        f"training diverged: loss={value} at epoch {epoch} "
-                        f"step {step} (lr={hyper.lr}, batch={hyper.batch_size})"
-                    )
+                value, norm = run_step(inputs, targets, epoch, step)
                 losses.append(value)
                 report.steps += 1
-                if frozen:
-                    continue
-                for _, t in named:
-                    t.zero_grad()
-                loss.backward()
-                clip_gradients(named, hyper.clip_norm)
-                adam_step(named, {name: t.grad for name, t in named}, optim)
+                if norm is not None:
+                    norms.append(norm)
             report.train_loss.append(float(np.mean(losses)))
             v_mse, v_mae = evaluate(params, config, val_ds, batch_size=hyper.batch_size)
             report.val_mse.append(v_mse)
@@ -300,6 +322,8 @@ def train(
                             ),
                             "sys_s": round(now.ru_stime - usage.ru_stime, 3),
                             "minor_faults": now.ru_minflt - usage.ru_minflt,
+                            "peak_rss_mb": round(now.ru_maxrss / 1024.0, 1),
+                            **_grad_norm_stats(norms, hyper.clip_norm),
                         }
                     )
                     + "\n"

@@ -1,5 +1,6 @@
 import csv
 import ctypes
+import errno
 import json
 import os
 import platform
@@ -12,9 +13,17 @@ import pytest
 
 import gridcast
 from gridcast.cli import RESULTS_HEADER, main
-from gridcast.config import load_run_config
-from gridcast.data import synthetic_long_memory, synthetic_sines
-from gridcast.model import ModelConfig, build, forward, load_checkpoint, save_checkpoint
+import gridcast.model
+from gridcast.config import RunConfig, load_run_config, save_run_config
+from gridcast.data import VariateStats, save_stats, synthetic_long_memory, synthetic_sines
+from gridcast.model import (
+    ModelConfig,
+    build,
+    export_attention,
+    forward,
+    load_checkpoint,
+    save_checkpoint,
+)
 from gridcast.tensor import Tensor, no_grad
 
 
@@ -86,6 +95,9 @@ def test_train_artifacts(workspace):
     for line in lines:
         for key in ("cpu_s", "sys_s", "minor_faults"):
             assert line[key] >= 0, key
+        assert line["peak_rss_mb"] > 0
+        assert 0 < line["grad_norm_p50"] <= line["grad_norm_max"]
+        assert 0.0 <= line["clipped_frac"] <= 1.0
     report = json.loads((out / "report_F8.json").read_text())
     assert report["epochs_run"] == 2
     snapshot = load_run_config(out / "config.txt")
@@ -372,6 +384,106 @@ def test_lookback_sweep_rejects_short_length(workspace, tmp_path, capsys):
     )
     assert code == 2
     assert "patch length" in capsys.readouterr().err
+
+
+# -- output paths and atomic writes ------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["train", "forecast", "eval", "export-attention"])
+def test_output_path_of_the_wrong_kind_is_one_line_usage_error(
+    command, workspace, tmp_path, capsys
+):
+    a_file, a_dir = tmp_path / "taken.txt", tmp_path / "taken_dir"
+    a_file.write_text("keep\n")
+    a_dir.mkdir()
+    checkpoint = str(workspace["out"] / "model_F8.ckpt")
+    window, _ = window_csv(workspace, tmp_path)
+    argv = {
+        "train": ["train", "--config", str(workspace["cfg"]), "--out", str(a_file)],
+        "forecast": [
+            "forecast", "--checkpoint", checkpoint, "--window", str(window),
+            "--out-file", str(a_dir),
+        ],
+        "eval": [
+            "eval", "--config", str(workspace["cfg"]), "--checkpoint", checkpoint,
+            "--out-file", str(a_dir),
+        ],
+        "export-attention": [
+            "export-attention", "--checkpoint", checkpoint, "--window", str(window),
+            "--out-dir", str(a_file),
+        ],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert a_file.read_text() == "keep\n" and os.listdir(a_dir) == []
+
+
+class _FailsHalfway:
+    """A file that takes half of the first text it is given, then reports a
+    full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, text):
+        self._fh.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+        return False
+
+
+def _files(directory):
+    return {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}
+
+
+@pytest.mark.parametrize(
+    "writer", ["forecast --out-file", "save_stats", "save_run_config", "export_attention"]
+)
+def test_failed_write_leaves_old_artifact_and_no_temp_file(
+    writer, workspace, monkeypatch, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    out.mkdir()
+    checkpoint = str(workspace["out"] / "model_F8.ckpt")
+    window, values = window_csv(workspace, tmp_path)
+
+    def write():
+        if writer == "forecast --out-file":
+            argv = ["forecast", "--checkpoint", checkpoint, "--window", str(window)]
+            return main(argv + ["--out-file", str(out / "forecast.csv")])
+        if writer == "save_stats":
+            save_stats(VariateStats(mean=np.arange(3.0), std=np.ones(3)), out / "stats.csv")
+        elif writer == "save_run_config":
+            save_run_config(RunConfig(), out / "config.txt")
+        else:
+            params, cfg = load_checkpoint(checkpoint)
+            with no_grad():
+                _, maps = forward(values[None], params, cfg, capture_attention=True)
+            export_attention(maps, out)
+        return 0
+
+    assert write() == 0
+    before = _files(out)
+    real_open = open
+    monkeypatch.setattr(
+        gridcast.model, "open", lambda *a, **k: _FailsHalfway(real_open(*a, **k)), raising=False
+    )
+    capsys.readouterr()
+    if writer == "forecast --out-file":
+        assert write() == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        with pytest.raises(OSError):
+            write()
+    assert _files(out) == before
 
 
 # -- allocator settings ------------------------------------------------------

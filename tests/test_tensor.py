@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -251,6 +253,53 @@ def test_backward_accumulates_until_zeroed():
     x.zero_grad()
     loss.backward()
     np.testing.assert_array_equal(x.grad, np.ones(3))
+
+
+def test_graph_frees_intermediates_backward_twice_adds_twice():
+    # The raw scores softmax consumes are read by no vjp, so nothing keeps
+    # them alive once the forward is over. The gradients are the same
+    # arithmetic in plain numpy, bit for bit.
+    r = rng(17)
+    a_data, b_data, w = r.normal(size=(2, 3, 4)), r.normal(size=(4, 5)), r.normal(size=(3, 5))
+    A, B = Tensor(a_data, requires_grad=True), Tensor(b_data, requires_grad=True)
+    scores_refs = []
+
+    def forward():
+        scores = A @ B
+        scores_refs.append(weakref.ref(scores.data))
+        return (scores.softmax(axis=-1) * Tensor(w)).sum()
+
+    loss = forward()
+    assert scores_refs[0]() is None
+
+    scores = a_data @ b_data
+    s = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    s /= s.sum(axis=-1, keepdims=True)
+    g = w - (w * s).sum(axis=-1, keepdims=True)
+    g *= s
+    loss.backward()
+    np.testing.assert_array_equal(A.grad, np.matmul(g, b_data.T))
+    np.testing.assert_array_equal(B.grad, np.matmul(np.swapaxes(a_data, -1, -2), g).sum(axis=0))
+    first_a, first_b = A.grad.copy(), B.grad.copy()
+    loss.backward()
+    np.testing.assert_array_equal(A.grad, first_a + first_a)
+    np.testing.assert_array_equal(B.grad, first_b + first_b)
+
+
+def test_dropped_graph_frees_its_leaf_without_the_cycle_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        leaf = Tensor(np.ones(3), requires_grad=True)
+        ref = weakref.ref(leaf)
+        loss = ((leaf * 2.0).softmax() * leaf).sum()
+        loss.backward()
+        assert leaf.grad is not None and ref() is leaf
+        del leaf, loss
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_backward_rejects_non_scalar():

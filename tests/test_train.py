@@ -1,4 +1,7 @@
+import gc
+import importlib
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -278,6 +281,33 @@ def test_train_improves_and_reports(tmp_path):
     assert len(lines) == 3
     assert lines[0]["epoch"] == 0 and "val_mse" in lines[0]
     np.testing.assert_allclose([l["val_mse"] for l in lines], report.val_mse)
+
+
+def test_train_frees_each_step_graph_before_the_next_forward(monkeypatch):
+    # gridcast.train the attribute is the re-exported train() function
+    train_mod = importlib.import_module("gridcast.train")
+    real_forward = train_mod.forward
+    preds, seen_alive = [], []
+
+    def forward_watching_preds(*args, **kwargs):
+        seen_alive.append(sum(ref() is not None for ref in preds))
+        pred, maps = real_forward(*args, **kwargs)
+        preds.append(weakref.ref(pred))
+        return pred, maps
+
+    monkeypatch.setattr(train_mod, "forward", forward_watching_preds)
+    cfg, params, datasets = tiny_setup(seed=17)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        hyper = TrainHyper(lr=1e-3, batch_size=32, max_epochs=1, seed=17)
+        steps = train(params, cfg, datasets, hyper).steps
+    finally:
+        if enabled:
+            gc.enable()
+    # every training forward and the first validation forward
+    assert steps > 2
+    assert seen_alive[: steps + 1] == [0] * (steps + 1)
 
 
 def test_train_restores_best_checkpoint():
