@@ -6,6 +6,15 @@ vertical layer runs attention among the N variate tokens at each patch step.
 Both directions run the same ``encoder_layer`` over the trailing [L x D] axes:
 horizontal on the grid viewed as [B x N x M x D], vertical on the grid as it
 is, which equals transpose -> horizontal -> transpose without the permutes.
+
+The attention core is cache-blocked, after the tiling of FlashAttention (Dao
+et al., arXiv 2205.14135): ``multi_head`` splits its G groups into blocks
+whose [rows, H, L, L] scores fit ``SCORE_BLOCK_BYTES`` and runs scores ->
+softmax -> weighted sum on one block at a time, so the score-sized arrays of
+the forward and of the backward stay in cache instead of streaming through
+memory (a [192, 4, 128, 128] score array is 100 MB). Every group is
+independent, so each value and gradient is the same bit for bit as on the
+whole array; when the whole score array fits, it runs as one block.
 """
 
 from __future__ import annotations
@@ -21,6 +30,12 @@ from gridcast.tensor import BatchNormState, Tensor, batch_norm, dropout
 DIRECTIONS = ("horizontal", "vertical")
 SEQUENCING_MODES = ("channel_first", "time_first", "alternate")
 COST_MODES = SEQUENCING_MODES + ("horizontal_only", "vertical_only")
+
+# Largest [rows, H, L, L] float64 score block one attention step forms: a
+# quarter of a 2 MB per-core L2. Forward holds a block's scores and weights,
+# backward its weights, their gradient and one softmax temporary, so these
+# stay in cache from Q K^T through softmax to the weighted sum.
+SCORE_BLOCK_BYTES = 512 * 1024
 
 
 def xavier_uniform(rng: np.random.Generator, *shape) -> Tensor:
@@ -113,15 +128,20 @@ def scaled_dot_attention(Q: Tensor, K: Tensor, V: Tensor) -> tuple:
     Accepts any leading batch axes; rows of the returned weights sum to 1.
     Returns (output, weights). The scale is applied to the [.., L, d_k]
     queries rather than to the [.., L, L] scores, which is cheaper and keeps
-    no unscaled score matrix alive for backward.
+    no unscaled score matrix alive for backward. ``multi_head`` runs the same
+    ops one cache-sized block of groups at a time when the scores are larger.
     """
     d_k = Q.shape[-1]
     if K.shape[-1] != d_k:
         raise ShapeError(f"query width {d_k} != key width {K.shape[-1]}")
     if K.shape[-2] != V.shape[-2]:
         raise ShapeError(f"key count {K.shape[-2]} != value count {V.shape[-2]}")
-    scores = (Q * (1.0 / np.sqrt(d_k))) @ _swap_last_two(K)
-    weights = scores.softmax(axis=-1)
+    return _attend(Q * (1.0 / np.sqrt(d_k)), _swap_last_two(K), V)
+
+
+def _attend(Qs: Tensor, Kt: Tensor, V: Tensor) -> tuple:
+    """(softmax(Qs Kt) V, weights) for scaled queries and transposed keys."""
+    weights = (Qs @ Kt).softmax(axis=-1)
     return weights @ V, weights
 
 
@@ -131,6 +151,14 @@ def multi_head(x: Tensor, params: AttentionParams, want_weights: bool = False):
     Per-head outputs are concatenated and projected by w_out. With
     ``want_weights`` returns (out, weights [groups x H x L x L]) where groups
     collapses all leading axes.
+
+    Q, K and V are [G, H, L, d_k]. When G groups of [H, L, L] scores fit
+    ``SCORE_BLOCK_BYTES``, ``scaled_dot_attention`` runs once on them.
+    Otherwise the queries are scaled and the keys transposed once, the three
+    are cut into row blocks along G (``Tensor.rows``, views whose gradients
+    backward scatters into one buffer), scores -> softmax -> weighted sum
+    runs per block, and ``Tensor.concat_rows`` joins the block outputs; the
+    returned weights are then a plain copy outside the graph.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     L, D = x.shape[-2], x.shape[-1]
@@ -143,7 +171,21 @@ def multi_head(x: Tensor, params: AttentionParams, want_weights: bool = False):
     Q = xg @ params.w_query  # [G, H, L, d_k]
     K = xg @ params.w_key
     V = xg @ params.w_value
-    att, weights = scaled_dot_attention(Q, K, V)  # att [G, H, L, d_v]
+    rows = max(1, SCORE_BLOCK_BYTES // (H * L * L * Q.data.itemsize))
+    if rows >= G:
+        att, weights = scaled_dot_attention(Q, K, V)  # att [G, H, L, d_v]
+    else:
+        # scale and transpose once; per block they would add two graph nodes
+        Qs, Kt = Q * (1.0 / np.sqrt(d_k)), _swap_last_two(K)
+        outs, block_weights = [], []
+        for start in range(0, G, rows):
+            stop = min(start + rows, G)
+            out, w = _attend(Qs.rows(start, stop), Kt.rows(start, stop), V.rows(start, stop))
+            outs.append(out)
+            if want_weights:
+                block_weights.append(w.data)
+        att = Tensor.concat_rows(outs)
+        weights = Tensor(np.concatenate(block_weights)) if want_weights else None
     d_v = params.w_value.shape[-1]
     cat = att.permute(0, 2, 1, 3).reshape(G, L, H * d_v)
     out = (cat @ params.w_out).reshape(*orig)

@@ -78,6 +78,18 @@ class _Node:
         self.leaf = leaf
 
 
+class _RowGrad:
+    """What a row slice's vjp sends its parent: ``g`` for rows [start, stop)
+    of a parent of ``shape``, zero elsewhere. ``backward()`` scatters it into
+    one buffer per parent, so slicing a tensor into k blocks costs one
+    parent-sized buffer rather than k zero-padded ones."""
+
+    __slots__ = ("start", "stop", "shape", "g")
+
+    def __init__(self, start: int, stop: int, shape: tuple, g: np.ndarray):
+        self.start, self.stop, self.shape, self.g = start, stop, shape, g
+
+
 class Tensor:
     """n-d float64 array plus optional gradient and graph node."""
 
@@ -302,6 +314,33 @@ class Tensor:
 
         return Tensor._make(self.data.transpose(axes), (self,), vjp)
 
+    def rows(self, start: int, stop: int) -> "Tensor":
+        """Rows [start, stop) of axis 0, as a view of this tensor's data."""
+        if self.ndim == 0 or not 0 <= start < stop <= self.shape[0]:
+            raise ShapeError(f"row slice [{start}:{stop}] invalid for shape {self.shape}")
+        shape = self.shape
+
+        def vjp(g):
+            return (_RowGrad(start, stop, shape, g),)
+
+        return Tensor._make(self.data[start:stop], (self,), vjp)
+
+    @staticmethod
+    def concat_rows(parts) -> "Tensor":
+        """Concatenate along axis 0; the vjp hands each part a view of g."""
+        parts = tuple(parts)
+        try:
+            data = np.concatenate([p.data for p in parts], axis=0)
+        except ValueError as exc:
+            shapes = [p.shape for p in parts]
+            raise ShapeError(f"cannot concatenate rows of shapes {shapes}") from exc
+        bounds = np.cumsum([0] + [p.shape[0] for p in parts]).tolist()
+
+        def vjp(g):
+            return tuple(g[a:b] for a, b in zip(bounds, bounds[1:]))
+
+        return Tensor._make(data, parts, vjp)
+
     # -- nonlinearities ------------------------------------------------------
 
     def softmax(self, axis: int = -1) -> "Tensor":
@@ -342,7 +381,10 @@ class Tensor:
         """Accumulate d(self)/d(leaf) into every requires_grad leaf.
 
         Gradients flow through a per-call accumulator, so calling backward
-        twice on the same graph adds exactly twice the gradient.
+        twice on the same graph adds exactly twice the gradient. A row
+        slice's gradient is added into its parent's buffer in place; a buffer
+        that a vjp returned is copied first, since it may be another
+        parent's gradient too.
         """
         if self.size != 1:
             raise ShapeError(f"backward requires a scalar, got shape {self.shape}")
@@ -366,6 +408,7 @@ class Tensor:
                     stack.append((parent, False))
 
         flowing: dict[int, np.ndarray] = {id(root): np.ones_like(self.data)}
+        owned: set[int] = set()  # keys whose buffer backward allocated itself
         for node in reversed(ordered):
             g = flowing.pop(id(node), None)
             if g is None:
@@ -379,10 +422,21 @@ class Tensor:
                 if parent is None:
                     continue
                 key = id(parent)
-                if key in flowing:
-                    flowing[key] = flowing[key] + pg
+                held = flowing.get(key)
+                if type(pg) is _RowGrad:
+                    if held is None:
+                        held = np.zeros(pg.shape)
+                    elif key not in owned:
+                        # a vjp may have handed this same array to another parent
+                        held = held.copy()
+                    held[pg.start:pg.stop] += pg.g
+                    owned.add(key)
+                elif held is not None:
+                    held = held + pg
+                    owned.add(key)
                 else:
-                    flowing[key] = pg
+                    held = pg
+                flowing[key] = held
 
 
 # -- layers built from the primitives ---------------------------------------

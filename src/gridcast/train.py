@@ -282,7 +282,8 @@ def train(
 
     try:
         for epoch in range(hyper.max_epochs):
-            losses, norms = [], []
+            losses, norms, step_s = [], [], []
+            windows = 0
             for step, batch in enumerate(
                 make_windows(
                     train_ds,
@@ -297,7 +298,10 @@ def train(
                 if hyper.variate_ratio < 1.0:
                     sub = sample_variates(train_ds.channels, hyper.variate_ratio, rng)
                     inputs, targets = inputs[:, :, sub], targets[:, :, sub]
+                started = time.process_time()
                 value, norm = run_step(inputs, targets, epoch, step)
+                step_s.append(time.process_time() - started)
+                windows += len(inputs)
                 losses.append(value)
                 report.steps += 1
                 if norm is not None:
@@ -323,6 +327,10 @@ def train(
                             "sys_s": round(now.ru_stime - usage.ru_stime, 3),
                             "minor_faults": now.ru_minflt - usage.ru_minflt,
                             "peak_rss_mb": round(now.ru_maxrss / 1024.0, 1),
+                            "step_ms_p50": round(float(np.median(step_s)) * 1000.0, 3),
+                            "windows_per_s": (
+                                round(windows / sum(step_s), 1) if sum(step_s) > 0 else None
+                            ),
                             **_grad_norm_stats(norms, hyper.clip_norm),
                         }
                     )

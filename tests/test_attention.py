@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gridcast.attention as attention
 from gridcast.attention import (
     AttentionCost,
     AttentionMap,
@@ -15,6 +18,7 @@ from gridcast.attention import (
     sequence_directions,
 )
 from gridcast.errors import ConfigError, ShapeError
+from gridcast.model import ModelConfig, build, forward
 from gridcast.tensor import BatchNormState, Tensor, batch_norm, grad_check
 
 
@@ -222,6 +226,98 @@ def test_encoder_layer_capture_row_sums():
     w = captured[0]
     assert w.shape == (2, p.heads, 5, 5)
     np.testing.assert_allclose(w.sum(axis=-1), np.ones((2, p.heads, 5)), atol=1e-6)
+
+
+# -- cache-blocked attention -------------------------------------------------
+
+
+def block_budget(rows, H, L):
+    """A score budget that fits exactly ``rows`` groups of [H, L, L] scores."""
+    return rows * H * L * L * 8
+
+
+def run_vertical_layer(grid):
+    p = make_params(D=8, H=2, D_ff=16, seed=26)
+    x = Tensor(grid, requires_grad=True)
+    captured = []
+    out = apply_vertical(x, p, training=True, capture=captured)
+    (out * out).mean().backward()
+    grads = [x.grad] + [t.grad for _, t in p.named()]
+    stats = [
+        getattr(state, name)
+        for state in (p.norm1_state, p.norm2_state)
+        for name in ("running_mean", "running_var")
+    ]
+    return out.data, captured, grads, stats
+
+
+def test_blocked_encoder_layer_is_bit_identical(monkeypatch):
+    # G = 7 groups of [H=2, L=5, L] scores; a 3-group budget gives blocks 3, 3, 1
+    grid = rng(26).normal(size=(1, 7, 5, 8))
+    whole = run_vertical_layer(grid)
+    monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", block_budget(3, H=2, L=5))
+    slices = []
+    real_rows = Tensor.rows
+
+    def counted_rows(t, start, stop):
+        slices.append((start, stop))
+        return real_rows(t, start, stop)
+
+    monkeypatch.setattr(Tensor, "rows", counted_rows)
+    blocked = run_vertical_layer(grid)
+    assert sorted(set(slices)) == [(0, 3), (3, 6), (6, 7)] and len(slices) == 9
+    assert (blocked[0] == whole[0]).all()
+    assert len(blocked[1]) == 1 and blocked[1][0].shape == (7, 2, 5, 5)
+    assert (blocked[1][0] == whole[1][0]).all()
+    assert len(blocked[2]) == len(whole[2]) == 11
+    for got, want in zip(blocked[2], whole[2]):
+        assert (got == want).all()
+    for got, want in zip(blocked[3], whole[3]):
+        assert (got == want).all()
+
+
+def test_blocked_forward_captures_one_map_per_layer(monkeypatch):
+    cfg = ModelConfig(T=32, F=8, N=3, P=8, S=4, D=8, H=2, L=2, D_ff=16, dropout=0.0, seed=5)
+    params = build(cfg)
+    x = rng(27).normal(size=(2, 32, 3))
+    pred, maps = forward(x, params, cfg, capture_attention=True)
+    monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", 1)  # one group per block
+    pred_b, maps_b = forward(x, params, cfg, capture_attention=True)
+    assert (pred_b.data == pred.data).all()
+    assert [(m.direction, m.weights.shape) for m in maps_b] == [
+        ("horizontal", (cfg.M, cfg.M)),
+        ("vertical", (3, 3)),
+    ]
+    for got, want in zip(maps_b, maps):
+        assert (got.weights == want.weights).all()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    B=st.integers(1, 3),
+    P=st.integers(1, 8),
+    extra=st.integers(0, 16),
+    S_frac=st.integers(1, 8),
+    N=st.integers(1, 5),
+    H=st.integers(1, 3),
+    width=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_forward_finite_and_blocking_invariant(B, P, extra, S_frac, N, H, width, seed):
+    T, S, D = max(2, P + extra), max(1, P * S_frac // 8), H * width  # revin needs T >= 2
+    cfg = ModelConfig(T=T, F=4, N=N, P=P, S=S, D=D, H=H, L=2, D_ff=2 * D, dropout=0.0, seed=seed)
+    params = build(cfg)
+    x = rng(seed).normal(size=(B, T, N))
+    pred, _ = forward(x, params, cfg)
+    assert pred.shape == (B, 4, N)
+    assert np.isfinite(pred.data).all()
+    saved = attention.SCORE_BLOCK_BYTES
+    attention.SCORE_BLOCK_BYTES = 1  # one group per block
+    try:
+        blocked, _ = forward(x, params, cfg)
+    finally:
+        attention.SCORE_BLOCK_BYTES = saved
+    assert (blocked.data == pred.data).all()
 
 
 # -- grid application --------------------------------------------------------

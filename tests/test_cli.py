@@ -96,6 +96,7 @@ def test_train_artifacts(workspace):
         for key in ("cpu_s", "sys_s", "minor_faults"):
             assert line[key] >= 0, key
         assert line["peak_rss_mb"] > 0
+        assert line["step_ms_p50"] > 0 and line["windows_per_s"] > 0
         assert 0 < line["grad_norm_p50"] <= line["grad_norm_max"]
         assert 0.0 <= line["clipped_frac"] <= 1.0
     report = json.loads((out / "report_F8.json").read_text())

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -227,6 +228,88 @@ def test_permute_invalid_axes():
 def test_reshape_count_mismatch():
     with pytest.raises(ShapeError):
         Tensor(np.zeros(12)).reshape(5, 3)
+
+
+# -- row slice / row concat --------------------------------------------------
+
+
+def test_rows_is_a_view_and_concat_rebuilds_bit_exact():
+    x = Tensor(rng(30).normal(size=(7, 3, 2)))
+    parts = [x.rows(0, 3), x.rows(3, 6), x.rows(6, 7)]
+    assert all(np.shares_memory(p.data, x.data) for p in parts)
+    assert [p.shape[0] for p in parts] == [3, 3, 1]
+    assert (Tensor.concat_rows(parts).data == x.data).all()
+
+
+@pytest.mark.parametrize("start,stop", [(0, 0), (2, 1), (-1, 2), (0, 5)])
+def test_rows_invalid_bounds(start, stop):
+    with pytest.raises(ShapeError):
+        Tensor(np.zeros((4, 3))).rows(start, stop)
+
+
+def test_rows_rejects_a_scalar_and_concat_rejects_mismatched_rows():
+    with pytest.raises(ShapeError):
+        Tensor(1.0).rows(0, 1)
+    with pytest.raises(ShapeError):
+        Tensor.concat_rows([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4)))])
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (5, 2, 3, 2)])
+def test_grad_check_rows_overlapping_slices(shape):
+    # rows 1-3 are read by both slices, so their gradients add in one buffer
+    r = rng(31)
+    x = Tensor(r.normal(size=shape))
+    w = Tensor(r.normal(size=(3,) + shape[1:]))
+
+    def fn(ts):
+        return (ts[0].rows(1, 4) * w).sum() + (ts[0].rows(0, 3) ** 2).sum()
+
+    assert grad_check(fn, [x]) < 1e-3
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (2, 2, 3, 2)])
+def test_grad_check_concat_rows(shape):
+    # the first part appears twice, so its two views of g add up
+    r = rng(32)
+    a = Tensor(r.normal(size=shape))
+    b = Tensor(r.normal(size=(1,) + shape[1:]))
+    w = Tensor(r.normal(size=(2 * shape[0] + 1,) + shape[1:]))
+
+    def fn(ts):
+        return (Tensor.concat_rows([ts[0], ts[1], ts[0]]) ** 2 * w).sum()
+
+    assert grad_check(fn, [a, b]) < 1e-3
+
+
+def test_row_slice_scatter_copies_a_gradient_another_parent_holds():
+    # __add__ hands the same g array to x and z; the row slice of x then adds
+    # into x's gradient, which must not write into z's
+    r = rng(33)
+    x = Tensor(r.normal(size=(4, 3)), requires_grad=True)
+    z = Tensor(r.normal(size=(4, 3)), requires_grad=True)
+    w = r.normal(size=(4, 3))
+    u = r.normal(size=(2, 3))
+    loss = ((x + z) * Tensor(w)).sum() + (x.rows(1, 3) * Tensor(u)).sum()
+    loss.backward()
+    expected_x = w.copy()
+    expected_x[1:3] += u
+    assert (z.grad == w).all()
+    assert (x.grad == expected_x).all()
+
+
+def test_row_slices_backward_builds_one_parent_sized_buffer():
+    # sixteen slices of a 1 MiB tensor: a zero-padded full-size gradient per
+    # slice would peak near three times its size
+    x = Tensor(np.ones((64, 128, 16)), requires_grad=True)
+    loss = sum(x.rows(i, i + 4).sum() for i in range(0, 64, 4))
+    tracemalloc.start()
+    try:
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (x.grad == 1.0).all()
+    assert peak < 1.5 * x.data.nbytes
 
 
 # -- backward ----------------------------------------------------------------
