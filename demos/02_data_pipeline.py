@@ -44,7 +44,7 @@ train, val, test, stats = standardize(train, val, test)
 print("train means ~0:", np.round(train.values.mean(axis=0), 6))
 print("test keeps its drift:", np.round(test.values.mean(axis=0), 3))
 
-# Windows: every (T past, F future) pair that fits, optionally strided.
+# Windows: every (T past, F future) pair that fits, one per start step.
 T, F = 96, 24
 print(f"test split holds {n_windows(test.timesteps, T, F)} windows of ({T} -> {F})")
 

@@ -1,42 +1,12 @@
-"""Grid-attention multivariate time-series forecasting on a numpy autodiff core."""
+"""Grid-attention multivariate time-series forecasting on a numpy autodiff core.
 
-from gridcast.attention import (
-    AttentionCost,
-    AttentionMap,
-    AttentionParams,
-    apply_horizontal,
-    apply_vertical,
-    count_attention_cost,
-    grid_transpose,
-    multi_head,
-    scaled_dot_attention,
-    sequence_directions,
-)
-from gridcast.config import RunConfig, load_run_config, parse_run_config, save_run_config
-from gridcast.data import (
-    SplitSpec,
-    TimeSeriesDataset,
-    VariateStats,
-    WindowBatch,
-    chronological_split,
-    load_csv,
-    make_windows,
-    n_windows,
-    standardize,
-    synthetic_long_memory,
-    synthetic_sines,
-)
-from gridcast.embed import (
-    NormStats,
-    PatchConfig,
-    embed_grid,
-    embed_patches,
-    pad_tail,
-    patch_count,
-    patchify,
-    revin_denormalize,
-    revin_normalize,
-)
+The top level holds the names the README's library examples use, the data,
+checkpoint and run-config loaders, ``Tensor`` and ``grad_check``, and the
+error types. Everything else is imported from its submodule.
+"""
+
+from gridcast.config import RunConfig, load_run_config
+from gridcast.data import SplitSpec, chronological_split, load_csv, standardize, synthetic_sines
 from gridcast.errors import (
     ConfigError,
     DataError,
@@ -45,98 +15,30 @@ from gridcast.errors import (
     NumericError,
     ShapeError,
 )
-from gridcast.model import (
-    ModelConfig,
-    ModelParams,
-    build,
-    export_attention,
-    forward,
-    load_checkpoint,
-    save_checkpoint,
-    sequence_layers,
-)
-from gridcast.tensor import (
-    BatchNormState,
-    Tensor,
-    batch_norm,
-    dropout,
-    grad_check,
-    no_grad,
-)
-from gridcast.train import (
-    OptimState,
-    TrainHyper,
-    TrainReport,
-    adam_step,
-    evaluate,
-    mae,
-    mse,
-    persistence_baseline,
-    train,
-)
+from gridcast.model import ModelConfig, build, forward, load_checkpoint
+from gridcast.tensor import Tensor, grad_check
+from gridcast.train import TrainHyper, train
 
 __all__ = [
-    "AttentionCost",
-    "AttentionMap",
-    "AttentionParams",
-    "BatchNormState",
     "ConfigError",
     "DataError",
     "DivergenceError",
     "GridcastError",
     "ModelConfig",
-    "ModelParams",
-    "NormStats",
     "NumericError",
-    "OptimState",
-    "PatchConfig",
     "RunConfig",
     "ShapeError",
     "SplitSpec",
     "Tensor",
-    "TimeSeriesDataset",
     "TrainHyper",
-    "TrainReport",
-    "VariateStats",
-    "WindowBatch",
-    "adam_step",
-    "apply_horizontal",
-    "apply_vertical",
-    "batch_norm",
     "build",
     "chronological_split",
-    "count_attention_cost",
-    "dropout",
-    "embed_grid",
-    "embed_patches",
-    "evaluate",
-    "export_attention",
     "forward",
     "grad_check",
-    "grid_transpose",
     "load_checkpoint",
     "load_csv",
     "load_run_config",
-    "mae",
-    "make_windows",
-    "mse",
-    "multi_head",
-    "n_windows",
-    "no_grad",
-    "pad_tail",
-    "parse_run_config",
-    "patch_count",
-    "patchify",
-    "persistence_baseline",
-    "revin_denormalize",
-    "revin_normalize",
-    "save_checkpoint",
-    "save_run_config",
-    "scaled_dot_attention",
-    "sequence_directions",
-    "sequence_layers",
     "standardize",
-    "synthetic_long_memory",
     "synthetic_sines",
     "train",
 ]

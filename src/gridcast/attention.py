@@ -12,9 +12,10 @@ et al., arXiv 2205.14135): ``multi_head`` splits its G groups into blocks
 whose [rows, H, L, L] scores fit ``SCORE_BLOCK_BYTES`` and runs scores ->
 softmax -> weighted sum on one block at a time, so the score-sized arrays of
 the forward and of the backward stay in cache instead of streaming through
-memory (a [192, 4, 128, 128] score array is 100 MB). Every group is
-independent, so each value and gradient is the same bit for bit as on the
-whole array; when the whole score array fits, it runs as one block.
+memory (a [192, 4, 128, 128] score array is 100 MB). This is the only
+attention path: every group is independent, so each value and gradient is
+the same bit for bit as on the whole array, and a score array that fits the
+budget is one block whose graph is the unblocked one, node for node.
 """
 
 from __future__ import annotations
@@ -122,23 +123,6 @@ def _swap_last_two(t: Tensor) -> Tensor:
     return t.permute(*axes)
 
 
-def scaled_dot_attention(Q: Tensor, K: Tensor, V: Tensor) -> tuple:
-    """Full bidirectional attention: softmax(Q K^T / sqrt(d_k)) V.
-
-    Accepts any leading batch axes; rows of the returned weights sum to 1.
-    Returns (output, weights). The scale is applied to the [.., L, d_k]
-    queries rather than to the [.., L, L] scores, which is cheaper and keeps
-    no unscaled score matrix alive for backward. ``multi_head`` runs the same
-    ops one cache-sized block of groups at a time when the scores are larger.
-    """
-    d_k = Q.shape[-1]
-    if K.shape[-1] != d_k:
-        raise ShapeError(f"query width {d_k} != key width {K.shape[-1]}")
-    if K.shape[-2] != V.shape[-2]:
-        raise ShapeError(f"key count {K.shape[-2]} != value count {V.shape[-2]}")
-    return _attend(Q * (1.0 / np.sqrt(d_k)), _swap_last_two(K), V)
-
-
 def _attend(Qs: Tensor, Kt: Tensor, V: Tensor) -> tuple:
     """(softmax(Qs Kt) V, weights) for scaled queries and transposed keys."""
     weights = (Qs @ Kt).softmax(axis=-1)
@@ -150,15 +134,16 @@ def multi_head(x: Tensor, params: AttentionParams, want_weights: bool = False):
 
     Per-head outputs are concatenated and projected by w_out. With
     ``want_weights`` returns (out, weights [groups x H x L x L]) where groups
-    collapses all leading axes.
+    collapses all leading axes; the weights are a plain copy outside the graph.
 
-    Q, K and V are [G, H, L, d_k]. When G groups of [H, L, L] scores fit
-    ``SCORE_BLOCK_BYTES``, ``scaled_dot_attention`` runs once on them.
-    Otherwise the queries are scaled and the keys transposed once, the three
-    are cut into row blocks along G (``Tensor.rows``, views whose gradients
-    backward scatters into one buffer), scores -> softmax -> weighted sum
-    runs per block, and ``Tensor.concat_rows`` joins the block outputs; the
-    returned weights are then a plain copy outside the graph.
+    Q, K and V are [G, H, L, d_k]. The queries are scaled by 1/sqrt(d_k)
+    once, which is cheaper than scaling the [.., L, L] scores, and the keys
+    transposed once. Then softmax(Qs Kt) V runs on one row block of groups at
+    a time, each block's [rows, H, L, L] scores within ``SCORE_BLOCK_BYTES``:
+    ``Tensor.rows`` cuts the blocks as views whose gradients backward
+    scatters into one buffer, and ``Tensor.concat_rows`` joins the block
+    outputs. When all G groups fit one block, the slice and the join return
+    their input, so the graph holds no node beyond the attention ops.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     L, D = x.shape[-2], x.shape[-1]
@@ -171,26 +156,26 @@ def multi_head(x: Tensor, params: AttentionParams, want_weights: bool = False):
     Q = xg @ params.w_query  # [G, H, L, d_k]
     K = xg @ params.w_key
     V = xg @ params.w_value
+    # scale and transpose once; per block they would add two graph nodes
+    Qs, Kt = Q * (1.0 / np.sqrt(d_k)), _swap_last_two(K)
     rows = max(1, SCORE_BLOCK_BYTES // (H * L * L * Q.data.itemsize))
-    if rows >= G:
-        att, weights = scaled_dot_attention(Q, K, V)  # att [G, H, L, d_v]
-    else:
-        # scale and transpose once; per block they would add two graph nodes
-        Qs, Kt = Q * (1.0 / np.sqrt(d_k)), _swap_last_two(K)
-        outs, block_weights = [], []
-        for start in range(0, G, rows):
-            stop = min(start + rows, G)
-            out, w = _attend(Qs.rows(start, stop), Kt.rows(start, stop), V.rows(start, stop))
-            outs.append(out)
-            if want_weights:
-                block_weights.append(w.data)
-        att = Tensor.concat_rows(outs)
-        weights = Tensor(np.concatenate(block_weights)) if want_weights else None
+    outs, block_weights = [], []
+    for start in range(0, G, rows):
+        stop = min(start + rows, G)
+        att, weights = _attend(Qs.rows(start, stop), Kt.rows(start, stop), V.rows(start, stop))
+        outs.append(att)
+        if want_weights:
+            block_weights.append(weights.data)
+    # free the scaled queries before the output projection allocates: without
+    # a graph nothing else holds them, and a forward then allocates and frees
+    # in the same order as unblocked attention did
+    del Qs, Kt
+    att = Tensor.concat_rows(outs)  # [G, H, L, d_v]
     d_v = params.w_value.shape[-1]
     cat = att.permute(0, 2, 1, 3).reshape(G, L, H * d_v)
     out = (cat @ params.w_out).reshape(*orig)
     if want_weights:
-        return out, weights
+        return out, Tensor(np.concatenate(block_weights))
     return out
 
 

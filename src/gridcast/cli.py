@@ -68,13 +68,22 @@ RESULTS_HEADER = ["dataset", "T", "F", "mode", "ratio", "seed", "mse", "mae", "w
 def _resolve_config(args) -> RunConfig:
     run = load_run_config(args.config) if args.config else RunConfig()
     apply_overrides(run, args.set)
-    if getattr(args, "data", None):
+    if args.data:
         run.data_path = args.data
-    if getattr(args, "out", None):
+    if args.out:
         run.out_dir = args.out
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         run.seed = args.seed
+    run.to_hyper()  # rejects bad train.* values before any artifact is written
     return run
+
+
+def _int_list(text: str, flag: str) -> List[int]:
+    """The comma-separated integers given to ``flag``."""
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} expects comma-separated integers, got {text!r}") from None
 
 
 def _prepare_splits(run: RunConfig):
@@ -121,36 +130,37 @@ def _result_row(dataset, cfg, ratio, seed, mse_value, mae_value, wall_s) -> list
     ]
 
 
+def _fit(run: RunConfig, ds, splits, tag: str) -> list:
+    """Build and train the model ``run`` configures for ``ds``; write
+    ``model_<tag>.ckpt``, ``report_<tag>.json`` and ``epochs_<tag>.jsonl``
+    into out.dir and return the model's results row."""
+    cfg = run.to_model_config(ds.channels)
+    params = build(cfg)
+    hyper = run.to_hyper(os.path.join(run.out_dir, f"epochs_{tag}.jsonl"))
+    report = train(params, cfg, splits, hyper)
+    save_checkpoint(os.path.join(run.out_dir, f"model_{tag}.ckpt"), params, cfg)
+    with write_atomic(os.path.join(run.out_dir, f"report_{tag}.json")) as fh:
+        json.dump(dataclasses.asdict(report), fh, indent=2)
+    print(
+        f"trained {ds.name} T={cfg.T} F={cfg.F}: test mse {report.test_mse:.6f} "
+        f"mae {report.test_mae:.6f} ({report.epochs_run} epochs)"
+    )
+    return _result_row(
+        ds.name, cfg, run.train_variate_ratio, run.seed,
+        report.test_mse, report.test_mae, report.wall_time_s,
+    )
+
+
 def cmd_train(args) -> int:
     run = _resolve_config(args)
+    horizons = (
+        _int_list(args.horizon_sweep, "--horizon-sweep") if args.horizon_sweep else [run.model_F]
+    )
     os.makedirs(run.out_dir, exist_ok=True)
     ds, splits, stats = _prepare_splits(run)
     save_stats(stats, os.path.join(run.out_dir, "train_stats.csv"))
     save_run_config(run, os.path.join(run.out_dir, "config.txt"))
-    horizons = (
-        [int(h) for h in args.horizon_sweep.split(",")]
-        if args.horizon_sweep
-        else [run.model_F]
-    )
-    rows = []
-    for F in horizons:
-        cfg = dataclasses.replace(run.to_model_config(ds.channels), F=F)
-        params = build(cfg)
-        log_path = os.path.join(run.out_dir, f"epochs_F{F}.jsonl")
-        report = train(params, cfg, splits, run.to_hyper(log_path))
-        save_checkpoint(os.path.join(run.out_dir, f"model_F{F}.ckpt"), params, cfg)
-        with write_atomic(os.path.join(run.out_dir, f"report_F{F}.json")) as fh:
-            json.dump(dataclasses.asdict(report), fh, indent=2)
-        rows.append(
-            _result_row(
-                ds.name, cfg, run.train_variate_ratio, run.seed,
-                report.test_mse, report.test_mae, report.wall_time_s,
-            )
-        )
-        print(
-            f"trained {ds.name} T={cfg.T} F={F}: test mse {report.test_mse:.6f} "
-            f"mae {report.test_mae:.6f} ({report.epochs_run} epochs)"
-        )
+    rows = [_fit(dataclasses.replace(run, model_F=F), ds, splits, f"F{F}") for F in horizons]
     text = _write_results(os.path.join(run.out_dir, "results.csv"), rows)
     sys.stdout.write(text)
     return 0
@@ -228,7 +238,7 @@ def cmd_export_attention(args) -> int:
 
 def cmd_lookback_sweep(args) -> int:
     run = _resolve_config(args)
-    lengths = [int(x) for x in args.lengths.split(",")]
+    lengths = _int_list(args.lengths, "--lengths")
     for T in lengths:
         if T < run.model_P:
             raise ConfigError(
@@ -239,18 +249,9 @@ def cmd_lookback_sweep(args) -> int:
     for T in lengths:
         run_T = dataclasses.replace(run, model_T=T)
         ds, splits, _ = _prepare_splits(run_T)
-        cfg = run_T.to_model_config(ds.channels)
         save_run_config(run_T, os.path.join(run.out_dir, f"config_T{T}.txt"))
-        params = build(cfg)
-        report = train(params, cfg, splits, run_T.to_hyper())
-        save_checkpoint(os.path.join(run.out_dir, f"model_T{T}.ckpt"), params, cfg)
-        row = _result_row(
-            ds.name, cfg, run.train_variate_ratio, run.seed,
-            report.test_mse, report.test_mae, report.wall_time_s,
-        )
-        row.append(patch_count(T, run.model_P, run.model_S))
-        rows.append(row)
-        print(f"lookback {T}: test mse {report.test_mse:.6f}")
+        row = _fit(run_T, ds, splits, f"T{T}")
+        rows.append(row + [patch_count(T, run.model_P, run.model_S)])
     text = _write_results(os.path.join(run.out_dir, "sweep.csv"), rows, extra_columns=["M"])
     sys.stdout.write(text)
     return 0
@@ -263,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=True):
+    def common(p):
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument(
             "--set",
@@ -272,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a config key (repeatable)",
         )
-        if data:
-            p.add_argument("--data", help="dataset CSV path (overrides data.path)")
+        p.add_argument("--data", help="dataset CSV path (overrides data.path)")
         p.add_argument("--out", help="output directory (overrides out.dir)")
         p.add_argument("--seed", type=int, help="seed (overrides seed)")
 

@@ -23,11 +23,7 @@ ColumnKey = Union[int, str]
 
 @dataclass(frozen=True)
 class TimeSeriesDataset:
-    """An immutable multivariate series: rows are time steps, columns variates.
-
-    ``timesteps == 0`` only ever arises from a degenerate split requested
-    explicitly; ingestion always rejects empty inputs.
-    """
+    """An immutable multivariate series: rows are time steps, columns variates."""
 
     name: str
     values: np.ndarray
@@ -61,10 +57,8 @@ class SplitSpec:
     test: int
 
     def __post_init__(self):
-        if min(self.train, self.val, self.test) < 0:
-            raise DataError(f"split ratios must be non-negative, got {self}")
-        if self.train <= 0:
-            raise DataError(f"train ratio must be positive, got {self}")
+        if min(self.train, self.val, self.test) <= 0:
+            raise DataError(f"split ratios must be positive, got {self}")
 
     @classmethod
     def parse(cls, text: str) -> "SplitSpec":
@@ -87,7 +81,6 @@ class WindowBatch:
 
     inputs: np.ndarray  # [batch, T, N]
     targets: np.ndarray  # [batch, F, N]
-    variate_index: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -201,32 +194,20 @@ def load_csv(
     )
 
 
-def chronological_split(
-    ds: TimeSeriesDataset, spec: SplitSpec, allow_empty: bool = False
-) -> tuple:
+def chronological_split(ds: TimeSeriesDataset, spec: SplitSpec) -> tuple:
     """Cut the series into contiguous train/val/test blocks, in time order.
 
     Boundaries fall at floor(cumulative ratio fraction x timesteps), so the
     three blocks concatenate back to the source exactly.
     """
-    if min(spec.val, spec.test) == 0 and not allow_empty:
-        raise DataError(f"split ratio {spec} has an empty part; pass allow_empty to permit")
     total = spec.train + spec.val + spec.test
     ts = ds.timesteps
     b1 = (ts * spec.train) // total
     b2 = (ts * (spec.train + spec.val)) // total
     parts = []
-    for tag, lo, hi, ratio in (
-        ("train", 0, b1, spec.train),
-        ("val", b1, b2, spec.val),
-        ("test", b2, ts, spec.test),
-    ):
-        if hi - lo == 0:
-            if ratio > 0:
-                raise DataError(
-                    f"{tag} split of {ds.name!r} is empty ({ts} steps at {spec})"
-                )
-            warnings.warn(f"{tag} split of {ds.name!r} is empty by request ({spec})")
+    for tag, lo, hi in (("train", 0, b1), ("val", b1, b2), ("test", b2, ts)):
+        if hi == lo:
+            raise DataError(f"{tag} split of {ds.name!r} is empty ({ts} steps at {spec})")
         parts.append(
             TimeSeriesDataset(f"{ds.name}:{tag}", ds.values[lo:hi], ds.frequency)
         )
@@ -253,15 +234,9 @@ def standardize(
     stats = VariateStats(mean=mean, std=std)
     out = tuple(
         TimeSeriesDataset(ds.name, (ds.values - mean) / std, ds.frequency)
-        if ds.timesteps
-        else ds
         for ds in (train, val, test)
     )
     return out + (stats,)
-
-
-def destandardize(values: np.ndarray, stats: VariateStats) -> np.ndarray:
-    return values * stats.std + stats.mean
 
 
 def save_stats(stats: VariateStats, path) -> None:
@@ -272,55 +247,39 @@ def save_stats(stats: VariateStats, path) -> None:
             writer.writerow([i, repr(float(m)), repr(float(s))])
 
 
-def load_stats(path) -> VariateStats:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    body = rows[1:]
-    mean = np.array([float(r[1]) for r in body])
-    std = np.array([float(r[2]) for r in body])
-    return VariateStats(mean=mean, std=std)
-
-
-def n_windows(timesteps: int, T: int, F: int, stride: int = 1) -> int:
-    """Number of stride-spaced (lookback, horizon) windows that fit."""
+def n_windows(timesteps: int, T: int, F: int) -> int:
+    """Number of (lookback, horizon) windows that fit, one per start step."""
     if timesteps < T + F:
         raise DataError(
             f"split too short: {timesteps} steps cannot host lookback {T} + horizon {F}"
         )
-    return (timesteps - T - F) // stride + 1
+    return timesteps - T - F + 1
 
 
 def make_windows(
     ds: TimeSeriesDataset,
     T: int,
     F: int,
-    stride: int = 1,
     batch_size: int = 1,
     shuffle: bool = False,
     rng: Optional[np.random.Generator] = None,
-    variate_index: Optional[np.ndarray] = None,
 ) -> Iterator[WindowBatch]:
     """Yield batches of contiguous (input, target) windows.
 
-    Window i covers rows [i*stride, i*stride+T) with its target immediately
-    following. Shuffling permutes window start order and requires a seeded rng.
+    Window i covers rows [i, i+T) with its target immediately following.
+    Shuffling permutes window start order and requires a seeded rng.
     """
-    count = n_windows(ds.timesteps, T, F, stride)
-    starts = np.arange(count, dtype=np.int64) * stride
+    count = n_windows(ds.timesteps, T, F)
+    starts = np.arange(count, dtype=np.int64)
     if shuffle:
         if rng is None:
             raise DataError("shuffle=True needs an explicit rng for reproducibility")
         starts = rng.permutation(starts)
-    cols = slice(None) if variate_index is None else np.asarray(variate_index)
     for lo in range(0, count, batch_size):
         batch_starts = starts[lo : lo + batch_size]
         in_idx = batch_starts[:, None] + np.arange(T)
         out_idx = batch_starts[:, None] + T + np.arange(F)
-        yield WindowBatch(
-            inputs=ds.values[in_idx][:, :, cols],
-            targets=ds.values[out_idx][:, :, cols],
-            variate_index=None if variate_index is None else np.asarray(variate_index),
-        )
+        yield WindowBatch(inputs=ds.values[in_idx], targets=ds.values[out_idx])
 
 
 def borrow_prefix(

@@ -9,13 +9,11 @@ patch axis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from gridcast.errors import ConfigError, ShapeError
+from gridcast.errors import ShapeError
 from gridcast.tensor import Tensor
 
 STD_FLOOR = 1e-5
@@ -31,36 +29,6 @@ class NormStats:
 
     mean: np.ndarray
     std: np.ndarray
-
-
-@dataclass(frozen=True)
-class PatchConfig:
-    """Patch length P, stride S, derived patch count M, model width D."""
-
-    P: int
-    S: int
-    M: int
-    D: int
-
-    def __post_init__(self):
-        if self.P < 1:
-            raise ConfigError(f"patch length must be >= 1, got {self.P}")
-        if not 1 <= self.S <= self.P:
-            raise ConfigError(
-                f"stride must satisfy 1 <= S <= P, got S={self.S}, P={self.P}"
-            )
-        if self.D < 1:
-            raise ConfigError(f"model width must be >= 1, got {self.D}")
-
-    @classmethod
-    def for_lookback(cls, T: int, P: int, S: int, D: int) -> "PatchConfig":
-        if T < P:
-            raise ConfigError(f"lookback {T} is shorter than patch length {P}")
-        return cls(P=P, S=S, M=patch_count(T, P, S), D=D)
-
-    @property
-    def padded_length(self) -> int:
-        return (self.M - 1) * self.S + self.P
 
 
 def patch_count(T: int, P: int, S: int) -> int:
@@ -120,41 +88,13 @@ def pad_tail(x: np.ndarray, P: int, S: int) -> np.ndarray:
     return np.concatenate([x, np.tile(last, reps)], axis=-2)
 
 
-def patchify(x: np.ndarray, P: int, S: int) -> np.ndarray:
-    """Cut one padded variate series [T'] into its patch matrix [M x P]."""
-    x = np.asarray(x)
-    if x.ndim != 1:
-        raise ShapeError(f"patchify expects a single series, got shape {x.shape}")
-    if (x.shape[0] - P) % S != 0 or x.shape[0] < P:
-        raise ShapeError(
-            f"length {x.shape[0]} does not tile with patch {P} stride {S}; pad first"
-        )
-    M = (x.shape[0] - P) // S + 1
-    idx = np.arange(M)[:, None] * S + np.arange(P)
-    return x[idx]
-
-
-def embed_patches(patches, W_p: Tensor, W_pos: Tensor) -> Tensor:
-    """Project one variate's patches [M x P] to tokens [M x D] plus position."""
-    patches = patches if isinstance(patches, Tensor) else Tensor(patches)
-    if patches.ndim != 2:
-        raise ShapeError(f"expected [M,P] patches, got shape {patches.shape}")
-    M, P = patches.shape
-    if W_p.shape[0] != P:
-        raise ShapeError(f"projection expects patch length {W_p.shape[0]}, got {P}")
-    if W_pos.shape != (M, W_p.shape[1]):
-        raise ShapeError(
-            f"position encoding shape {W_pos.shape} does not match [{M},{W_p.shape[1]}]"
-        )
-    return patches @ W_p + W_pos
-
-
 def embed_grid(padded: np.ndarray, W_p: Tensor, W_pos: Tensor, P: int, S: int) -> Tensor:
     """Embed a padded batch [B x T' x N] into the grid [B x M x N x D].
 
-    Equivalent to running ``patchify`` + ``embed_patches`` per variate; the
-    projection and position encoding are shared across variates, and the
-    position encoding depends only on the patch (time) axis.
+    Equivalent to cutting each variate's series into its [M x P] patch
+    matrix and projecting that one variate at a time; the projection and
+    position encoding are shared across variates, and the position encoding
+    depends only on the patch (time) axis.
     """
     padded = np.asarray(padded, dtype=np.float64)
     if padded.ndim != 3:

@@ -12,7 +12,7 @@ import csv
 import json
 import os
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -28,7 +28,7 @@ from gridcast.attention import (
 )
 from gridcast.embed import embed_grid, pad_tail, patch_count, revin_denormalize, revin_normalize
 from gridcast.errors import ConfigError, ShapeError
-from gridcast.tensor import BatchNormState, Tensor
+from gridcast.tensor import Tensor
 
 CHECKPOINT_MAGIC = "gridcast-checkpoint-1"
 NORM_CHOICES = ("batch_and_tokens", "batch_only")
@@ -94,11 +94,6 @@ class ModelParams:
 
     def parameter_count(self) -> int:
         return sum(t.size for _, t in self.named_parameters())
-
-
-def sequence_layers(config: ModelConfig) -> list:
-    """Ordered (direction, layer index) pairs for the config's mode."""
-    return [(d, i) for i, d in enumerate(sequence_directions(config.mode, config.L))]
 
 
 def build(config: ModelConfig, rng: Optional[np.random.Generator] = None) -> ModelParams:

@@ -125,14 +125,6 @@ class Tensor:
 
     # -- construction helpers ------------------------------------------------
 
-    @staticmethod
-    def zeros(*shape, requires_grad=False) -> "Tensor":
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(*shape, requires_grad=False) -> "Tensor":
-        return Tensor(np.ones(shape), requires_grad=requires_grad)
-
     @classmethod
     def _make(cls, data, parents, vjp) -> "Tensor":
         out = cls(data)
@@ -159,9 +151,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -256,9 +245,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self, other), vjp)
 
-    def matmul(self, other) -> "Tensor":
-        return self @ other
-
     # -- reductions ----------------------------------------------------------
 
     @staticmethod
@@ -315,10 +301,15 @@ class Tensor:
         return Tensor._make(self.data.transpose(axes), (self,), vjp)
 
     def rows(self, start: int, stop: int) -> "Tensor":
-        """Rows [start, stop) of axis 0, as a view of this tensor's data."""
+        """Rows [start, stop) of axis 0, as a view of this tensor's data.
+
+        All rows are this tensor itself, so slicing it whole adds no node.
+        """
         if self.ndim == 0 or not 0 <= start < stop <= self.shape[0]:
             raise ShapeError(f"row slice [{start}:{stop}] invalid for shape {self.shape}")
         shape = self.shape
+        if stop - start == shape[0]:
+            return self
 
         def vjp(g):
             return (_RowGrad(start, stop, shape, g),)
@@ -327,8 +318,13 @@ class Tensor:
 
     @staticmethod
     def concat_rows(parts) -> "Tensor":
-        """Concatenate along axis 0; the vjp hands each part a view of g."""
+        """Concatenate along axis 0; the vjp hands each part a view of g.
+
+        A single part is returned as it is, with no node and no copy.
+        """
         parts = tuple(parts)
+        if len(parts) == 1:
+            return parts[0]
         try:
             data = np.concatenate([p.data for p in parts], axis=0)
         except ValueError as exc:

@@ -166,6 +166,18 @@ class TrainHyper:
     seed: int = 0
     log_path: Optional[str] = None
 
+    def __post_init__(self):
+        if not self.lr >= 0:  # a negative rate climbs the loss
+            raise ConfigError(f"train.lr must be >= 0, got {self.lr}")
+        if self.batch_size < 1:
+            raise ConfigError(f"train.batch_size must be >= 1, got {self.batch_size}")
+        if self.max_epochs < 1:  # zero would report an untrained model
+            raise ConfigError(f"train.max_epochs must be >= 1, got {self.max_epochs}")
+        # clip_gradients scales by clip_norm / norm: a negative value would
+        # flip every gradient and zero would erase it
+        if not self.clip_norm > 0:
+            raise ConfigError(f"train.clip_norm must be positive, got {self.clip_norm}")
+
 
 @dataclass
 class TrainReport:

@@ -4,12 +4,13 @@ The model oracles are deliberately written as straight-line numpy with
 explicit Python loops over variates, patch steps, tokens, and heads, so they
 share no code path with the library they check. They are inference-mode only
 (norm layers use running statistics, which default to zero mean / unit
-variance). The graph references at the end are the composite forms of the
-fused ops, built from the library's primitive Tensor ops.
+variance). The graph references at the end are the composite or unblocked
+forms of the fused and blocked ops, built from the library's Tensor ops.
 """
 
 import numpy as np
 
+from gridcast.errors import ShapeError
 from gridcast.tensor import Tensor
 
 
@@ -85,6 +86,36 @@ def forward_oracle(x, params, config):
     return out
 
 
+def patchify(x, P, S):
+    """Cut one padded variate series [T'] into its patch matrix [M x P]."""
+    x = np.asarray(x)
+    if x.ndim != 1:
+        raise ShapeError(f"patchify expects a single series, got shape {x.shape}")
+    if (x.shape[0] - P) % S != 0 or x.shape[0] < P:
+        raise ShapeError(
+            f"length {x.shape[0]} does not tile with patch {P} stride {S}; pad first"
+        )
+    M = (x.shape[0] - P) // S + 1
+    idx = np.arange(M)[:, None] * S + np.arange(P)
+    return x[idx]
+
+
+def embed_patches(patches, W_p, W_pos):
+    """Project one variate's patches [M x P] to tokens [M x D] plus position;
+    with ``patchify``, the per-variate reference for ``embed_grid``."""
+    patches = patches if isinstance(patches, Tensor) else Tensor(patches)
+    if patches.ndim != 2:
+        raise ShapeError(f"expected [M,P] patches, got shape {patches.shape}")
+    M, P = patches.shape
+    if W_p.shape[0] != P:
+        raise ShapeError(f"projection expects patch length {W_p.shape[0]}, got {P}")
+    if W_pos.shape != (M, W_p.shape[1]):
+        raise ShapeError(
+            f"position encoding shape {W_pos.shape} does not match [{M},{W_p.shape[1]}]"
+        )
+    return patches @ W_p + W_pos
+
+
 def mse_oracle(a, b):
     total, count = 0.0, 0
     for idx in np.ndindex(*a.shape):
@@ -99,6 +130,16 @@ def mae_oracle(a, b):
         total += abs(a[idx] - b[idx])
         count += 1
     return total / count
+
+
+def scaled_dot_attention(Q, K, V):
+    """Unblocked softmax(Q K^T / sqrt(d_k)) V over any leading batch axes, as
+    one graph of the library's ops; returns (output, weights). A single block
+    of ``multi_head`` builds exactly this graph."""
+    d_k = Q.shape[-1]
+    axes = tuple(range(K.ndim - 2)) + (K.ndim - 1, K.ndim - 2)
+    weights = ((Q * (1.0 / np.sqrt(d_k))) @ K.permute(*axes)).softmax(axis=-1)
+    return weights @ V, weights
 
 
 def batch_norm_composite(x, gamma, beta, axes=None, eps=1e-5):

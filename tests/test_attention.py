@@ -14,12 +14,12 @@ from gridcast.attention import (
     encoder_layer,
     grid_transpose,
     multi_head,
-    scaled_dot_attention,
     sequence_directions,
 )
 from gridcast.errors import ConfigError, ShapeError
 from gridcast.model import ModelConfig, build, forward
 from gridcast.tensor import BatchNormState, Tensor, batch_norm, grad_check
+from oracles import scaled_dot_attention
 
 
 def rng(seed=0):
@@ -30,7 +30,7 @@ def make_params(D=4, H=2, D_ff=8, seed=0):
     return AttentionParams.init(D, H, D_ff, rng(seed))
 
 
-# -- scaled_dot_attention ----------------------------------------------------
+# -- scaled_dot_attention (the unblocked reference) --------------------------
 
 
 def test_attention_zero_keys_uniform():
@@ -122,7 +122,7 @@ def test_multi_head_single_head_reduction():
 
 def test_multi_head_zero_values_zero_output():
     p = make_params(seed=9)
-    p.w_value = Tensor.zeros(*p.w_value.shape)
+    p.w_value = Tensor(np.zeros(p.w_value.shape))
     out = multi_head(Tensor(rng(9).normal(size=(6, 4))), p)
     np.testing.assert_allclose(out.data, np.zeros((6, 4)), atol=1e-15)
 
@@ -183,7 +183,7 @@ def zero_attention_params(D=4, H=2, D_ff=8, seed=0):
     p = make_params(D=D, H=H, D_ff=D_ff, seed=seed)
     for name in ("w_query", "w_key", "w_value", "w_out", "ffn_in", "ffn_out"):
         t = getattr(p, name)
-        setattr(p, name, Tensor.zeros(*t.shape))
+        setattr(p, name, Tensor(np.zeros(t.shape)))
     return p
 
 
@@ -192,8 +192,8 @@ def test_encoder_layer_zero_weights_is_double_norm():
     x = Tensor(r.normal(size=(6, 4)))
     p = zero_attention_params()
     out = encoder_layer(x, p, training=True)
-    inner = batch_norm(x, Tensor.ones(4), Tensor.zeros(4), BatchNormState(), training=True)
-    ref = batch_norm(inner, Tensor.ones(4), Tensor.zeros(4), BatchNormState(), training=True)
+    inner = batch_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), BatchNormState(), training=True)
+    ref = batch_norm(inner, Tensor(np.ones(4)), Tensor(np.zeros(4)), BatchNormState(), training=True)
     np.testing.assert_allclose(out.data, ref.data, atol=1e-12)
 
 
@@ -273,6 +273,39 @@ def test_blocked_encoder_layer_is_bit_identical(monkeypatch):
     for got, want in zip(blocked[2], whole[2]):
         assert (got == want).all()
     for got, want in zip(blocked[3], whole[3]):
+        assert (got == want).all()
+
+
+def graph_nodes(t):
+    """Number of graph nodes reachable from ``t``, leaves included."""
+    seen, stack = set(), [t._node]
+    while stack:
+        node = stack.pop()
+        if node is None or id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node.parents)
+    return len(seen)
+
+
+def test_one_block_builds_the_unblocked_graph():
+    # every group of [H=2, L=5, L] scores fits one block, so multi_head must
+    # build exactly the graph of the unblocked reference and its gradients
+    p = make_params(D=4, H=2, seed=28)
+    x = Tensor(rng(28).normal(size=(3, 5, 4)), requires_grad=True)
+    out = multi_head(x, p)
+    xg = x.reshape(3, 1, 5, 4)
+    att, _ = scaled_dot_attention(xg @ p.w_query, xg @ p.w_key, xg @ p.w_value)
+    ref = (att.permute(0, 2, 1, 3).reshape(3, 5, 4) @ p.w_out).reshape(3, 5, 4)
+    assert (out.data == ref.data).all()
+    assert graph_nodes(out) == graph_nodes(ref)
+    grads = []
+    for y in (out, ref):
+        for t in [x] + [t for _, t in p.named()]:
+            t.zero_grad()
+        (y * y).sum().backward()
+        grads.append([x.grad, p.w_query.grad, p.w_key.grad, p.w_value.grad, p.w_out.grad])
+    for got, want in zip(*grads):
         assert (got == want).all()
 
 
@@ -419,6 +452,7 @@ def test_sequence_directions_modes():
     assert sequence_directions("channel_first", 4) == ["vertical", "vertical", "horizontal", "horizontal"]
     assert sequence_directions("time_first", 1) == ["horizontal"]
     assert sequence_directions("channel_first", 3) == ["vertical", "vertical", "horizontal"]
+    assert sequence_directions("channel_first", 2) == ["vertical", "horizontal"]
     with pytest.raises(ConfigError):
         sequence_directions("sideways", 2)
     with pytest.raises(ConfigError):

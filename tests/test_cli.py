@@ -242,8 +242,8 @@ def test_forecast_matches_forward_bit_exactly(workspace, tmp_path, capsys):
 def test_forecast_constant_window_head_zero(tmp_path):
     cfg = ModelConfig(T=24, F=8, N=2, P=8, S=4, D=8, H=2, L=2, D_ff=16, dropout=0.0)
     params = build(cfg)
-    params.head_w = Tensor.zeros(*params.head_w.shape)
-    params.head_b = Tensor.zeros(*params.head_b.shape)
+    params.head_w = Tensor(np.zeros(params.head_w.shape))
+    params.head_b = Tensor(np.zeros(params.head_b.shape))
     ckpt = tmp_path / "zero.ckpt"
     save_checkpoint(ckpt, params, cfg)
     window = tmp_path / "const.csv"
@@ -347,6 +347,12 @@ def test_lookback_sweep_rows_and_patch_counts(workspace, tmp_path):
     assert [r[-1] for r in rows[1:]] == ["6", "8"]
     assert (out / "model_T24.ckpt").exists() and (out / "model_T32.ckpt").exists()
     assert (out / "config_T32.txt").exists()
+    # the same per-model artifacts as train, tagged by lookback
+    for T, row in zip((24, 32), rows[1:]):
+        report = json.loads((out / f"report_T{T}.json").read_text())
+        assert repr(float(report["test_mse"])) == row[RESULTS_HEADER.index("mse")]
+        lines = (out / f"epochs_T{T}.jsonl").read_text().splitlines()
+        assert len(lines) == report["epochs_run"] == 1
 
 
 def test_lookback_sweep_longer_context_wins_on_long_memory_series(tmp_path):
@@ -385,6 +391,29 @@ def test_lookback_sweep_rejects_short_length(workspace, tmp_path, capsys):
     )
     assert code == 2
     assert "patch length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["train", "--horizon-sweep", "8,x"], "--horizon-sweep"),
+        (["lookback-sweep", "--lengths", "32,x"], "--lengths"),
+        (["train", "--set", "train.batch_size=0"], "train.batch_size"),
+        (["train", "--set", "train.batch_size=-1"], "train.batch_size"),
+        (["train", "--set", "train.clip_norm=-1"], "train.clip_norm"),
+        (["train", "--set", "train.lr=-0.003"], "train.lr"),
+        (["train", "--set", "train.max_epochs=0"], "train.max_epochs"),
+        (["train", "--set", "data.split=6:2:0"], "split ratios"),
+    ],
+)
+def test_malformed_setting_is_one_line_usage_error(argv, named, workspace, tmp_path, capsys):
+    command, *rest = argv
+    capsys.readouterr()
+    code = main([command, "--config", str(workspace["cfg"]), "--out", str(tmp_path / "o"), *rest])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
 
 
 # -- output paths and atomic writes ------------------------------------------

@@ -1,0 +1,38 @@
+"""The demos run, and the README's imports are the package's public surface."""
+
+import os
+import re
+import subprocess
+import sys
+
+import pytest
+
+import gridcast
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = sorted(name for name in os.listdir(os.path.join(ROOT, "demos")) if name.endswith(".py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo, tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gridcast.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env["TMPDIR"] = str(tmp_path)  # where the demos write their CSV files
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "demos", demo)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_public_names_resolve_and_cover_the_readme():
+    for name in gridcast.__all__:
+        assert getattr(gridcast, name) is not None, name
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    imported = set()
+    for names in re.findall(r"^from gridcast import (.+)$", readme, flags=re.MULTILINE):
+        imported.update(n.strip() for n in names.split(","))
+    assert imported, "the README has no 'from gridcast import' line"
+    assert imported <= set(gridcast.__all__), imported - set(gridcast.__all__)

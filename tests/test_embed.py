@@ -5,18 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcast.embed import (
-    PatchConfig,
-    embed_grid,
-    embed_patches,
-    pad_tail,
-    patch_count,
-    patchify,
-    revin_denormalize,
-    revin_normalize,
-)
+from gridcast.embed import embed_grid, pad_tail, patch_count, revin_denormalize, revin_normalize
 from gridcast.errors import ConfigError, ShapeError
+from gridcast.model import ModelConfig
 from gridcast.tensor import Tensor, grad_check
+from oracles import embed_patches, patchify
 
 
 def rng(seed=0):
@@ -149,17 +142,19 @@ def test_patch_count_matches_padded_tiling(T, P, S_frac):
 
 
 def test_patch_config_validation():
-    cfg = PatchConfig.for_lookback(T=336, P=16, S=8, D=32)
-    assert cfg.M == 42 and cfg.padded_length == 344
+    # the patch geometry is validated once, by ModelConfig
+    patch = dict(F=8, N=1, P=16, S=8, D=32)
+    assert ModelConfig(T=336, **patch).M == 42
+    assert pad_tail(np.zeros((336, 1)), 16, 8).shape[0] == 344
     with pytest.raises(ConfigError):
-        PatchConfig.for_lookback(T=8, P=16, S=8, D=32)
+        ModelConfig(T=8, **patch)
     with pytest.raises(ConfigError):
-        PatchConfig(P=16, S=24, M=5, D=32)
+        ModelConfig(T=336, **{**patch, "S": 24})
     with pytest.raises(ConfigError):
-        PatchConfig(P=16, S=0, M=5, D=32)
+        ModelConfig(T=336, **{**patch, "S": 0})
 
 
-# -- patchify ----------------------------------------------------------------
+# -- patchify (the loop oracle's patch cutter) -------------------------------
 
 
 def test_patchify_non_overlapping():
@@ -189,32 +184,32 @@ def test_patchify_length_mismatch():
         patchify(np.zeros((6, 2)), P=2, S=2)
 
 
-# -- embedding ---------------------------------------------------------------
+# -- embedding: embed_patches (the per-variate oracle) and embed_grid -------
 
 
 def test_embed_patches_zero_weights():
     patches = rng(12).normal(size=(5, 4))
-    out = embed_patches(patches, Tensor.zeros(4, 8), Tensor.zeros(5, 8))
+    out = embed_patches(patches, Tensor(np.zeros((4, 8))), Tensor(np.zeros((5, 8))))
     np.testing.assert_array_equal(out.data, np.zeros((5, 8)))
 
 
 def test_embed_patches_position_only():
     pos = Tensor(rng(13).normal(size=(5, 8)))
-    out = embed_patches(rng(14).normal(size=(5, 4)), Tensor.zeros(4, 8), pos)
+    out = embed_patches(rng(14).normal(size=(5, 4)), Tensor(np.zeros((4, 8))), pos)
     np.testing.assert_array_equal(out.data, pos.data)
 
 
 def test_embed_patches_identity_projection():
     patches = rng(15).normal(size=(6, 4))
-    out = embed_patches(patches, Tensor(np.eye(4)), Tensor.zeros(6, 4))
+    out = embed_patches(patches, Tensor(np.eye(4)), Tensor(np.zeros((6, 4))))
     np.testing.assert_allclose(out.data, patches)
 
 
 def test_embed_patches_shape_errors():
     with pytest.raises(ShapeError):
-        embed_patches(np.zeros((5, 4)), Tensor.zeros(3, 8), Tensor.zeros(5, 8))
+        embed_patches(np.zeros((5, 4)), Tensor(np.zeros((3, 8))), Tensor(np.zeros((5, 8))))
     with pytest.raises(ShapeError):
-        embed_patches(np.zeros((5, 4)), Tensor.zeros(4, 8), Tensor.zeros(6, 8))
+        embed_patches(np.zeros((5, 4)), Tensor(np.zeros((4, 8))), Tensor(np.zeros((6, 8))))
 
 
 def test_embed_grid_matches_per_variate_loop():

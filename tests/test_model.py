@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from gridcast.attention import sequence_directions
 from gridcast.errors import ConfigError, ShapeError
 from gridcast.model import (
     ModelConfig,
@@ -14,7 +15,6 @@ from gridcast.model import (
     forward,
     load_checkpoint,
     save_checkpoint,
-    sequence_layers,
 )
 from gridcast.tensor import Tensor
 
@@ -86,19 +86,6 @@ def test_build_parameter_count_closed_form():
     assert params.parameter_count() == expected == 69760
 
 
-def test_sequence_layers_pairs():
-    assert sequence_layers(small_config(mode="alternate", L=4)) == [
-        ("horizontal", 0),
-        ("vertical", 1),
-        ("horizontal", 2),
-        ("vertical", 3),
-    ]
-    assert sequence_layers(small_config(mode="channel_first", L=2)) == [
-        ("vertical", 0),
-        ("horizontal", 1),
-    ]
-
-
 # -- forward -----------------------------------------------------------------
 
 
@@ -114,8 +101,8 @@ def test_forward_shape_and_finite():
 def test_forward_zero_head_returns_window_mean():
     cfg = small_config()
     params = build(cfg)
-    params.head_w = Tensor.zeros(*params.head_w.shape)
-    params.head_b = Tensor.zeros(*params.head_b.shape)
+    params.head_w = Tensor(np.zeros(params.head_w.shape))
+    params.head_b = Tensor(np.zeros(params.head_b.shape))
     x = rng(2).normal(size=(2, 32, 2)) * 3 + 5
     y, _ = forward(x, params, cfg)
     expected = np.repeat(x.mean(axis=1, keepdims=True), cfg.F, axis=1)
@@ -194,8 +181,8 @@ def test_three_modes_coincide_for_single_variate_with_neutral_vertical():
 
         tied = params.layers[0]
         params.layers = [tied] * cfg.L
-        params.directions = [d for d, _ in sequence_layers(cfg)]
-        for direction, idx in sequence_layers(cfg):
+        assert params.directions == sequence_directions(cfg.mode, cfg.L)
+        for idx, direction in enumerate(params.directions):
             if direction != "vertical":
                 continue
             neutral = copy.deepcopy(tied)

@@ -123,21 +123,21 @@ def test_softmax_matches_three_temporary_reference(axis):
 
 def test_batch_norm_constant_input_is_zero():
     x = Tensor(np.full((4, 3), 7.0))
-    out = batch_norm(x, Tensor.ones(3), Tensor.zeros(3), BatchNormState(), training=True)
+    out = batch_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), BatchNormState(), training=True)
     np.testing.assert_allclose(out.data, np.zeros((4, 3)), atol=1e-12)
 
 
 def test_batch_norm_gamma_zero_gives_beta():
     x = Tensor(rng(5).normal(size=(4, 3)))
     beta = Tensor([1.0, 2.0, 3.0])
-    out = batch_norm(x, Tensor.zeros(3), beta, BatchNormState(), training=True)
+    out = batch_norm(x, Tensor(np.zeros(3)), beta, BatchNormState(), training=True)
     np.testing.assert_allclose(out.data, np.broadcast_to(beta.data, (4, 3)))
 
 
 def test_batch_norm_two_sample_hand_value():
     # batch [1, 3]: mean 2, biased var 1 -> +-1/sqrt(1 + 1e-5)
     x = Tensor([[1.0], [3.0]])
-    out = batch_norm(x, Tensor.ones(1), Tensor.zeros(1), BatchNormState(), training=True)
+    out = batch_norm(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), BatchNormState(), training=True)
     expected = 1.0 / math.sqrt(1.0 + 1e-5)
     np.testing.assert_allclose(out.data, [[-expected], [expected]], rtol=1e-12)
 
@@ -145,8 +145,8 @@ def test_batch_norm_two_sample_hand_value():
 def test_batch_norm_running_stats_used_in_inference():
     state = BatchNormState(momentum=1.0)  # running stats = last batch stats
     x = Tensor(rng(6).normal(size=(8, 2)) * 3.0 + 1.0)
-    batch_norm(x, Tensor.ones(2), Tensor.zeros(2), state, training=True)
-    y = batch_norm(x, Tensor.ones(2), Tensor.zeros(2), state, training=False)
+    batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), state, training=True)
+    y = batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), state, training=False)
     mu = x.data.mean(axis=0, keepdims=True)
     var = x.data.var(axis=0, keepdims=True)
     np.testing.assert_allclose(y.data, (x.data - mu) / np.sqrt(var + 1e-5), rtol=1e-10)
@@ -154,7 +154,7 @@ def test_batch_norm_running_stats_used_in_inference():
 
 def test_batch_norm_zero_variance_clamped_not_error():
     x = Tensor(np.full((3, 2), 5.0))
-    out = batch_norm(x, Tensor.ones(2), Tensor.zeros(2), BatchNormState(), training=True)
+    out = batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), BatchNormState(), training=True)
     assert np.isfinite(out.data).all()
 
 
@@ -239,6 +239,13 @@ def test_rows_is_a_view_and_concat_rebuilds_bit_exact():
     assert all(np.shares_memory(p.data, x.data) for p in parts)
     assert [p.shape[0] for p in parts] == [3, 3, 1]
     assert (Tensor.concat_rows(parts).data == x.data).all()
+
+
+def test_whole_rows_and_a_single_concat_part_are_the_tensor_itself():
+    x = Tensor(rng(30).normal(size=(4, 3)), requires_grad=True)
+    assert x.rows(0, 4) is x
+    assert Tensor.concat_rows([x]) is x
+    assert Tensor.concat_rows(iter([x])) is x
 
 
 @pytest.mark.parametrize("start,stop", [(0, 0), (2, 1), (-1, 2), (0, 5)])

@@ -366,3 +366,13 @@ def test_train_split_too_short():
     short = TimeSeriesDataset("v", va.values[:10])
     with pytest.raises(DataError):
         train(params, cfg, (tr, short, te), TrainHyper(max_epochs=1))
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [{"batch_size": 0}, {"batch_size": -1}, {"clip_norm": -1.0}, {"lr": -1e-3}, {"max_epochs": 0}],
+)
+def test_train_hyper_rejects_bad_settings(setting):
+    (name,) = setting
+    with pytest.raises(ConfigError, match=f"train.{name}"):
+        TrainHyper(**setting)
