@@ -27,12 +27,13 @@ ds = synthetic_sines(2000, n_variates=4, period=48, noise=0.05, seed=0)
 print(f"{ds.name}: {ds.timesteps} steps x {ds.channels} variates")
 
 # Round-trip through CSV, because that is how real datasets arrive.
-tmp = os.path.join(tempfile.mkdtemp(), "sines.csv")
-with open(tmp, "w") as fh:
-    fh.write(",".join(f"v{i}" for i in range(ds.channels)) + "\n")
-    for row in ds.values:
-        fh.write(",".join(repr(float(v)) for v in row) + "\n")
-loaded = load_csv(tmp)
+with tempfile.TemporaryDirectory() as tmp_dir:
+    tmp = os.path.join(tmp_dir, "sines.csv")
+    with open(tmp, "w") as fh:
+        fh.write(",".join(f"v{i}" for i in range(ds.channels)) + "\n")
+        for row in ds.values:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    loaded = load_csv(tmp)
 print("csv round-trip exact:", bool((loaded.values == ds.values).all()))
 
 # Chronological 6:2:2 split. Boundaries floor, so no window leaks across.

@@ -32,19 +32,20 @@ print("\nvertical attention (rows = querying variate):")
 for row in vertical.weights:
     print("  " + " ".join(f"{w:.2f}" for w in row))
 
-out_dir = os.path.join(tempfile.mkdtemp(), "maps")
-paths = export_attention(maps, out_dir)
-print("\nwrote:")
-for p in paths:
-    print(" ", p)
+with tempfile.TemporaryDirectory() as tmp_dir:
+    out_dir = os.path.join(tmp_dir, "maps")
+    paths = export_attention(maps, out_dir)
+    print("\nwrote:")
+    for p in paths:
+        print(" ", p)
 
-# Each file is row_index,col_index,weight with full float precision.
-with open(paths[0]) as fh:
-    for line in list(fh)[:4]:
-        print("   ", line.rstrip())
+    # Each file is row_index,col_index,weight with full float precision.
+    with open(paths[0]) as fh:
+        for line in list(fh)[:4]:
+            print("   ", line.rstrip())
 
-# Row sums survive the round trip.
-data = np.loadtxt(paths[0], delimiter=",", skiprows=1)
-M = int(data[:, 0].max()) + 1
-grid = data[:, 2].reshape(M, M)
-print("max |row sum - 1| after reload:", float(np.abs(grid.sum(axis=1) - 1).max()))
+    # Row sums survive the round trip.
+    data = np.loadtxt(paths[0], delimiter=",", skiprows=1)
+    M = int(data[:, 0].max()) + 1
+    grid = data[:, 2].reshape(M, M)
+    print("max |row sum - 1| after reload:", float(np.abs(grid.sum(axis=1) - 1).max()))

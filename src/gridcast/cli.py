@@ -33,7 +33,6 @@ from gridcast.data import (
     save_stats,
     standardize,
 )
-from gridcast.embed import patch_count
 from gridcast.errors import ConfigError, DataError, GridcastError
 from gridcast.model import (
     build,
@@ -74,7 +73,6 @@ def _resolve_config(args) -> RunConfig:
         run.out_dir = args.out
     if args.seed is not None:
         run.seed = args.seed
-    run.to_hyper()  # rejects bad train.* values before any artifact is written
     return run
 
 
@@ -87,6 +85,8 @@ def _int_list(text: str, flag: str) -> List[int]:
 
 
 def _prepare_splits(run: RunConfig):
+    """The dataset, its standardized (train, val, test) splits and the
+    train-split statistics; ``data.borrow_prefix`` is applied per model."""
     if not run.data_path:
         raise ConfigError("data.path is required (config key data.path or --data)")
     ds = load_csv(
@@ -94,14 +94,20 @@ def _prepare_splits(run: RunConfig):
         value_columns=run.columns("value"),
         drop_columns=run.columns("drop"),
         name=run.data_name or None,
-        frequency=run.data_frequency,
     )
     spec = SplitSpec.parse(run.data_split)
-    tr, va, te = chronological_split(ds, spec)
-    tr, va, te, stats = standardize(tr, va, te)
-    if run.data_borrow_prefix:
-        tr, va, te = borrow_prefix(tr, va, te, run.model_T)
+    tr, va, te, stats = standardize(*chronological_split(ds, spec))
     return ds, (tr, va, te), stats
+
+
+def _splits_for(run: RunConfig, splits, T: int) -> tuple:
+    return borrow_prefix(*splits, T) if run.data_borrow_prefix else splits
+
+
+def _configs(run: RunConfig, ds, key: str, values: List[int]) -> list:
+    """One (run, ModelConfig) per value of ``model.<key>``, each checked."""
+    runs = [dataclasses.replace(run, model={**run.model, key: v}) for v in values]
+    return [(r, r.to_model_config(ds.channels)) for r in runs]
 
 
 def _write_results(path_or_none, rows: List[list], extra_columns=()) -> str:
@@ -130,14 +136,15 @@ def _result_row(dataset, cfg, ratio, seed, mse_value, mae_value, wall_s) -> list
     ]
 
 
-def _fit(run: RunConfig, ds, splits, tag: str) -> list:
-    """Build and train the model ``run`` configures for ``ds``; write
+def _fit(run: RunConfig, cfg, hyper, ds, splits, tag: str) -> list:
+    """Build and train the model ``cfg`` describes on ``ds``; write
     ``model_<tag>.ckpt``, ``report_<tag>.json`` and ``epochs_<tag>.jsonl``
     into out.dir and return the model's results row."""
-    cfg = run.to_model_config(ds.channels)
     params = build(cfg)
-    hyper = run.to_hyper(os.path.join(run.out_dir, f"epochs_{tag}.jsonl"))
-    report = train(params, cfg, splits, hyper)
+    log_path = os.path.join(run.out_dir, f"epochs_{tag}.jsonl")
+    report = train(
+        params, cfg, _splits_for(run, splits, cfg.T), dataclasses.replace(hyper, log_path=log_path)
+    )
     save_checkpoint(os.path.join(run.out_dir, f"model_{tag}.ckpt"), params, cfg)
     with write_atomic(os.path.join(run.out_dir, f"report_{tag}.json")) as fh:
         json.dump(dataclasses.asdict(report), fh, indent=2)
@@ -146,7 +153,7 @@ def _fit(run: RunConfig, ds, splits, tag: str) -> list:
         f"mae {report.test_mae:.6f} ({report.epochs_run} epochs)"
     )
     return _result_row(
-        ds.name, cfg, run.train_variate_ratio, run.seed,
+        ds.name, cfg, hyper.variate_ratio, hyper.seed,
         report.test_mse, report.test_mae, report.wall_time_s,
     )
 
@@ -154,13 +161,15 @@ def _fit(run: RunConfig, ds, splits, tag: str) -> list:
 def cmd_train(args) -> int:
     run = _resolve_config(args)
     horizons = (
-        _int_list(args.horizon_sweep, "--horizon-sweep") if args.horizon_sweep else [run.model_F]
+        _int_list(args.horizon_sweep, "--horizon-sweep") if args.horizon_sweep else [run.model["F"]]
     )
-    os.makedirs(run.out_dir, exist_ok=True)
     ds, splits, stats = _prepare_splits(run)
+    configs = _configs(run, ds, "F", horizons)
+    hyper = run.to_hyper()
+    os.makedirs(run.out_dir, exist_ok=True)
     save_stats(stats, os.path.join(run.out_dir, "train_stats.csv"))
     save_run_config(run, os.path.join(run.out_dir, "config.txt"))
-    rows = [_fit(dataclasses.replace(run, model_F=F), ds, splits, f"F{F}") for F in horizons]
+    rows = [_fit(run, cfg, hyper, ds, splits, f"F{cfg.F}") for _, cfg in configs]
     text = _write_results(os.path.join(run.out_dir, "results.csv"), rows)
     sys.stdout.write(text)
     return 0
@@ -169,14 +178,15 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     params, cfg = load_checkpoint(args.checkpoint)
     run = _resolve_config(args)
-    ds, (tr, va, te), _ = _prepare_splits(run)
+    ds, splits, _ = _prepare_splits(run)
+    te = _splits_for(run, splits, cfg.T)[2]
     if ds.channels != cfg.N:
         raise ConfigError(
             f"dataset {ds.name!r} has {ds.channels} variates but the checkpoint "
             f"expects N={cfg.N}"
         )
     t0 = time.monotonic()
-    mse_value, mae_value = evaluate(params, cfg, te, batch_size=run.train_batch_size)
+    mse_value, mae_value = evaluate(params, cfg, te, batch_size=run.to_hyper().batch_size)
     rows = [_result_row(ds.name, cfg, 1.0, run.seed, mse_value, mae_value, time.monotonic() - t0)]
     if args.persistence:
         p_mse, p_mae = persistence_baseline(te, cfg.T, cfg.F)
@@ -239,19 +249,14 @@ def cmd_export_attention(args) -> int:
 def cmd_lookback_sweep(args) -> int:
     run = _resolve_config(args)
     lengths = _int_list(args.lengths, "--lengths")
-    for T in lengths:
-        if T < run.model_P:
-            raise ConfigError(
-                f"lookback {T} is shorter than patch length P={run.model_P}"
-            )
+    ds, splits, _ = _prepare_splits(run)
+    configs = _configs(run, ds, "T", lengths)
+    hyper = run.to_hyper()
     os.makedirs(run.out_dir, exist_ok=True)
     rows = []
-    for T in lengths:
-        run_T = dataclasses.replace(run, model_T=T)
-        ds, splits, _ = _prepare_splits(run_T)
-        save_run_config(run_T, os.path.join(run.out_dir, f"config_T{T}.txt"))
-        row = _fit(run_T, ds, splits, f"T{T}")
-        rows.append(row + [patch_count(T, run.model_P, run.model_S)])
+    for run_T, cfg in configs:
+        save_run_config(run_T, os.path.join(run.out_dir, f"config_T{cfg.T}.txt"))
+        rows.append(_fit(run, cfg, hyper, ds, splits, f"T{cfg.T}") + [cfg.M])
     text = _write_results(os.path.join(run.out_dir, "sweep.csv"), rows, extra_columns=["M"])
     sys.stdout.write(text)
     return 0

@@ -1,89 +1,62 @@
 """Flat text run configuration: one ``section.key = value`` pair per line.
 
-Lines starting with ``#`` are comments. Values are typed by the field they
-set (int, float, bool, or string); serialization uses repr for floats so a
-parse -> serialize -> parse cycle is lossless. Command-line overrides use the
-same ``key=value`` syntax.
+Lines starting with ``#`` are comments. The ``model.*`` keys are the fields of
+``ModelConfig`` and the ``train.*`` keys those of ``TrainHyper``, minus the
+run-wide ``seed`` and the per-model log path: their names, order, types and
+defaults come from the dataclasses, and ``RunConfig`` holds them as one dict
+per section (``run.model["T"]``, ``run.train["lr"]``). Values are typed by
+the field they set (int, float, bool, or string); serialization uses repr
+for floats so a parse -> serialize -> parse cycle is lossless. Command-line
+overrides use the same ``key=value`` syntax.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from gridcast.errors import ConfigError
 from gridcast.model import ModelConfig, write_atomic
 from gridcast.train import TrainHyper
 
+_SECTIONS = {
+    "model": {f.name: f for f in fields(ModelConfig) if f.name != "seed"},
+    "train": {f.name: f for f in fields(TrainHyper) if f.name not in ("seed", "log_path")},
+}
+
+
+def _defaults(section: str, **own) -> dict:
+    return {name: own.get(name, f.default) for name, f in _SECTIONS[section].items()}
+
 
 @dataclass
 class RunConfig:
     """Everything one experiment run needs, round-trippable as flat text.
 
-    Attribute ``section_rest`` maps to file key ``section.rest``; the lone
-    top-level key is ``seed``. ``model_N = 0`` means infer the variate count
-    from the dataset.
+    Attribute ``data_rest`` maps to file key ``data.rest`` and ``out_dir`` to
+    ``out.dir``; ``model`` and ``train`` are dicts keyed by field name; the
+    lone top-level key is ``seed``. The CLI's own model defaults are T=96,
+    F=24 and N=0, where ``model.N = 0`` means infer the variate count from
+    the dataset.
     """
 
     data_path: str = ""
     data_name: str = ""
-    data_frequency: str = ""
     data_split: str = "6:2:2"
     data_drop_columns: str = ""  # comma-separated names or indices
     data_value_columns: str = ""
     data_borrow_prefix: bool = False
-    model_T: int = 96
-    model_F: int = 24
-    model_N: int = 0
-    model_P: int = 16
-    model_S: int = 8
-    model_D: int = 16
-    model_H: int = 4
-    model_L: int = 2
-    model_D_ff: int = 32
-    model_dropout: float = 0.2
-    model_mode: str = "alternate"
-    model_norm_over: str = "batch_and_tokens"
-    train_lr: float = 1e-4
-    train_batch_size: int = 32
-    train_max_epochs: int = 10
-    train_patience: int = 5
-    train_clip_norm: float = 5.0
-    train_variate_ratio: float = 1.0
+    model: dict = field(default_factory=lambda: _defaults("model", T=96, F=24, N=0))
+    train: dict = field(default_factory=lambda: _defaults("train"))
     out_dir: str = "runs"
     seed: int = 0
 
     def to_model_config(self, n_variates: Optional[int] = None) -> ModelConfig:
-        N = n_variates if n_variates else self.model_N
-        if N < 1:
-            raise ConfigError("model.N is unset and no dataset width was supplied")
-        return ModelConfig(
-            T=self.model_T,
-            F=self.model_F,
-            N=N,
-            P=self.model_P,
-            S=self.model_S,
-            D=self.model_D,
-            H=self.model_H,
-            L=self.model_L,
-            D_ff=self.model_D_ff,
-            dropout=self.model_dropout,
-            mode=self.model_mode,
-            seed=self.seed,
-            norm_over=self.model_norm_over,
-        )
+        """The model config, N taken from ``n_variates`` when given."""
+        return ModelConfig(**{**self.model, "N": n_variates or self.model["N"], "seed": self.seed})
 
     def to_hyper(self, log_path: Optional[str] = None) -> TrainHyper:
-        return TrainHyper(
-            lr=self.train_lr,
-            batch_size=self.train_batch_size,
-            max_epochs=self.train_max_epochs,
-            patience=self.train_patience,
-            clip_norm=self.train_clip_norm,
-            variate_ratio=self.train_variate_ratio,
-            seed=self.seed,
-            log_path=log_path,
-        )
+        return TrainHyper(**self.train, seed=self.seed, log_path=log_path)
 
     def columns(self, which: str) -> Optional[list]:
         """Split a comma-separated column list, ints where possible."""
@@ -101,34 +74,36 @@ def _key_of(attr: str) -> str:
     return attr.replace("_", ".", 1) if "_" in attr else attr
 
 
-_FIELDS = {_key_of(f.name): f for f in fields(RunConfig)}
+_FIELDS = {_key_of(f.name): f for f in fields(RunConfig) if f.name not in _SECTIONS}
 
 
-def _convert(field, raw: str):
-    if field.type in ("bool", bool):
-        low = raw.strip().lower()
+def _convert(spec, key: str, raw: str):
+    if spec.type in ("bool", bool):
+        low = raw.lower()
         if low in ("true", "1", "yes"):
             return True
         if low in ("false", "0", "no"):
             return False
-        raise ConfigError(f"{_key_of(field.name)} expects true/false, got {raw!r}")
+        raise ConfigError(f"{key} expects true/false, got {raw!r}")
     try:
-        if field.type in ("int", int):
+        if spec.type in ("int", int):
             return int(raw)
-        if field.type in ("float", float):
+        if spec.type in ("float", float):
             return float(raw)
     except ValueError:
-        raise ConfigError(
-            f"{_key_of(field.name)} expects {field.type}, got {raw!r}"
-        ) from None
+        raise ConfigError(f"{key} expects {spec.type}, got {raw!r}") from None
     return raw
 
 
 def set_key(config: RunConfig, key: str, raw: str) -> None:
-    field = _FIELDS.get(key.strip())
-    if field is None:
-        raise ConfigError(f"unknown config key {key.strip()!r}")
-    setattr(config, field.name, _convert(field, raw.strip()))
+    key, raw = key.strip(), raw.strip()
+    section, _, name = key.partition(".")
+    if name in _SECTIONS.get(section, ()):
+        getattr(config, section)[name] = _convert(_SECTIONS[section][name], key, raw)
+    elif key in _FIELDS:
+        setattr(config, _FIELDS[key].name, _convert(_FIELDS[key], key, raw))
+    else:
+        raise ConfigError(f"unknown config key {key!r}")
 
 
 def parse_run_config(text: str) -> RunConfig:
@@ -147,17 +122,20 @@ def parse_run_config(text: str) -> RunConfig:
     return config
 
 
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def serialize_run_config(config: RunConfig) -> str:
     lines = []
     for f in fields(RunConfig):
         value = getattr(config, f.name)
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = repr(value)
+        if f.name in _SECTIONS:
+            lines += [f"{f.name}.{name} = {_text(v)}" for name, v in value.items()]
         else:
-            text = str(value)
-        lines.append(f"{_key_of(f.name)} = {text}")
+            lines.append(f"{_key_of(f.name)} = {_text(value)}")
     return "\n".join(lines) + "\n"
 
 

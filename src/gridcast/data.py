@@ -27,7 +27,6 @@ class TimeSeriesDataset:
 
     name: str
     values: np.ndarray
-    frequency: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -135,7 +134,6 @@ def load_csv(
     value_columns: Optional[Sequence[ColumnKey]] = None,
     drop_columns: Optional[Sequence[ColumnKey]] = None,
     name: Optional[str] = None,
-    frequency: str = "",
 ) -> TimeSeriesDataset:
     """Read a CSV into a dataset; rows are time order, columns variate order.
 
@@ -187,11 +185,7 @@ def load_csv(
 
     from os.path import basename
 
-    return TimeSeriesDataset(
-        name=name if name is not None else basename(str(path)),
-        values=values,
-        frequency=frequency,
-    )
+    return TimeSeriesDataset(name if name is not None else basename(str(path)), values)
 
 
 def chronological_split(ds: TimeSeriesDataset, spec: SplitSpec) -> tuple:
@@ -208,9 +202,7 @@ def chronological_split(ds: TimeSeriesDataset, spec: SplitSpec) -> tuple:
     for tag, lo, hi in (("train", 0, b1), ("val", b1, b2), ("test", b2, ts)):
         if hi == lo:
             raise DataError(f"{tag} split of {ds.name!r} is empty ({ts} steps at {spec})")
-        parts.append(
-            TimeSeriesDataset(f"{ds.name}:{tag}", ds.values[lo:hi], ds.frequency)
-        )
+        parts.append(TimeSeriesDataset(f"{ds.name}:{tag}", ds.values[lo:hi]))
     return tuple(parts)
 
 
@@ -233,7 +225,7 @@ def standardize(
         std = np.where(degenerate, 1.0, std)
     stats = VariateStats(mean=mean, std=std)
     out = tuple(
-        TimeSeriesDataset(ds.name, (ds.values - mean) / std, ds.frequency)
+        TimeSeriesDataset(ds.name, (ds.values - mean) / std)
         for ds in (train, val, test)
     )
     return out + (stats,)
@@ -295,12 +287,8 @@ def borrow_prefix(
     adding T extra windows per split.
     """
     before_test = np.concatenate([train.values, val.values])
-    val2 = TimeSeriesDataset(
-        val.name, np.concatenate([train.values[-T:], val.values]), val.frequency
-    )
-    test2 = TimeSeriesDataset(
-        test.name, np.concatenate([before_test[-T:], test.values]), test.frequency
-    )
+    val2 = TimeSeriesDataset(val.name, np.concatenate([train.values[-T:], val.values]))
+    test2 = TimeSeriesDataset(test.name, np.concatenate([before_test[-T:], test.values]))
     return train, val2, test2
 
 
@@ -318,7 +306,7 @@ def synthetic_sines(
     phase = 2.0 * np.pi * np.arange(n_variates) / n_variates
     values = np.sin(2.0 * np.pi * t / period + phase)
     values += noise * rng.standard_normal(values.shape)
-    return TimeSeriesDataset(name=name, values=values, frequency="synthetic")
+    return TimeSeriesDataset(name=name, values=values)
 
 
 def synthetic_long_memory(
@@ -351,4 +339,4 @@ def synthetic_long_memory(
         reps = -(-timesteps // period)
         values[:, n] = np.tile(pattern, reps)[:timesteps]
     values += noise * rng.standard_normal(values.shape)
-    return TimeSeriesDataset(name=name, values=values, frequency="synthetic")
+    return TimeSeriesDataset(name=name, values=values)

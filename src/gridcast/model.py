@@ -209,22 +209,52 @@ def write_atomic(path, mode: str = "w", **open_kwargs):
         raise
 
 
-def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
-    """Serialize config, parameters, and norm running stats into one npz file,
-    written atomically."""
-    arrays = {
-        "__magic__": np.array(CHECKPOINT_MAGIC),
-        "__config__": np.array(json.dumps(asdict(config))),
-    }
-    for name, tensor in params.named_parameters():
-        arrays["param/" + name] = tensor.data
+def state_arrays(params: ModelParams) -> dict:
+    """Every parameter and batch-norm running statistic by checkpoint name:
+    ``param/<name>`` and ``state/layers.<i>.norm<k>.running_mean|var``, the
+    latter only once the statistics exist. The arrays are not copied."""
+    arrays = {"param/" + name: tensor.data for name, tensor in params.named_parameters()}
     for i, layer in enumerate(params.layers):
         for tag, state in (("norm1", layer.norm1_state), ("norm2", layer.norm2_state)):
             if state.running_mean is not None:
                 arrays[f"state/layers.{i}.{tag}.running_mean"] = state.running_mean
                 arrays[f"state/layers.{i}.{tag}.running_var"] = state.running_var
+    return arrays
+
+
+def load_state_arrays(params: ModelParams, arrays) -> None:
+    """Set ``params`` from copies of ``state_arrays``-named arrays; running
+    statistics absent from ``arrays`` restore to None (never updated)."""
+    for name, tensor in params.named_parameters():
+        key = "param/" + name
+        if key not in arrays:
+            raise ConfigError(f"missing parameter {name}")
+        loaded = arrays[key]
+        if loaded.shape != tensor.data.shape:
+            raise ConfigError(
+                f"parameter {name} has shape {loaded.shape}, expected {tensor.data.shape}"
+            )
+        tensor.data = loaded.astype(np.float64)
+    for i, layer in enumerate(params.layers):
+        for tag, state in (("norm1", layer.norm1_state), ("norm2", layer.norm2_state)):
+            prefix = f"state/layers.{i}.{tag}.running_"
+            if prefix + "mean" in arrays:
+                state.running_mean = arrays[prefix + "mean"].astype(np.float64)
+                state.running_var = arrays[prefix + "var"].astype(np.float64)
+            else:
+                state.running_mean = state.running_var = None
+
+
+def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
+    """Serialize config, parameters, and norm running stats into one npz file,
+    written atomically."""
     with write_atomic(path, "wb") as fh:
-        np.savez(fh, **arrays)
+        np.savez(
+            fh,
+            __magic__=np.array(CHECKPOINT_MAGIC),
+            __config__=np.array(json.dumps(asdict(config))),
+            **state_arrays(params),
+        )
 
 
 def load_checkpoint(path) -> tuple:
@@ -241,21 +271,8 @@ def load_checkpoint(path) -> tuple:
         except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"checkpoint {path} has no valid model config: {exc}") from exc
         params = build(config)
-        for name, tensor in params.named_parameters():
-            key = "param/" + name
-            if key not in archive:
-                raise ConfigError(f"checkpoint {path} is missing parameter {name}")
-            loaded = archive[key]
-            if loaded.shape != tensor.data.shape:
-                raise ConfigError(
-                    f"checkpoint parameter {name} has shape {loaded.shape}, "
-                    f"expected {tensor.data.shape}"
-                )
-            tensor.data = loaded.astype(np.float64)
-        for i, layer in enumerate(params.layers):
-            for tag, state in (("norm1", layer.norm1_state), ("norm2", layer.norm2_state)):
-                mean_key = f"state/layers.{i}.{tag}.running_mean"
-                if mean_key in archive:
-                    state.running_mean = archive[mean_key].astype(np.float64)
-                    state.running_var = archive[f"state/layers.{i}.{tag}.running_var"].astype(np.float64)
+        try:
+            load_state_arrays(params, archive)
+        except ConfigError as exc:
+            raise ConfigError(f"checkpoint {path}: {exc}") from None
     return params, config

@@ -438,11 +438,13 @@ class Tensor:
 # -- layers built from the primitives ---------------------------------------
 
 
+BN_MOMENTUM = 0.1  # weight of each training batch in the running statistics
+
+
 @dataclass
 class BatchNormState:
     """Running statistics for one batch-norm instance (inference mode)."""
 
-    momentum: float = 0.1
     running_mean: np.ndarray | None = field(default=None)
     running_var: np.ndarray | None = field(default=None)
 
@@ -450,7 +452,7 @@ class BatchNormState:
         if self.running_mean is None:
             self.running_mean = np.zeros_like(mean)
             self.running_var = np.ones_like(var)
-        m = self.momentum
+        m = BN_MOMENTUM
         self.running_mean = (1.0 - m) * self.running_mean + m * mean
         self.running_var = (1.0 - m) * self.running_var + m * var
 

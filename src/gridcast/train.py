@@ -8,7 +8,6 @@ the model's instance normalization, not here.
 
 from __future__ import annotations
 
-import copy
 import json
 import resource
 import time
@@ -26,7 +25,7 @@ from gridcast.errors import (
     NumericError,
     ShapeError,
 )
-from gridcast.model import ModelConfig, ModelParams, forward
+from gridcast.model import ModelConfig, ModelParams, forward, load_state_arrays, state_arrays
 from gridcast.tensor import Tensor, no_grad
 
 
@@ -50,14 +49,16 @@ def mae(pred, target) -> Tensor:
     return (pred - target).abs().mean()
 
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimState:
-    """Adam moments and hyperparameters, one buffer pair per parameter name."""
+    """Adam's learning rate, step count and moments, one buffer pair per
+    parameter name."""
 
     lr: float = 1e-4
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
-    weight_decay: float = 0.0
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -71,15 +72,13 @@ def adam_step(named_params: list, grads: dict, state: OptimState) -> None:
     parameter.
     """
     state.step += 1
-    b1, b2 = state.betas
+    b1, b2 = ADAM_BETAS
     correct1 = 1.0 - b1**state.step
     correct2 = 1.0 - b2**state.step
     for name, tensor in named_params:
         g = grads.get(name)
         if g is None:
             raise GridcastError(f"no gradient for parameter {name!r}")
-        if state.weight_decay:
-            g = g + state.weight_decay * tensor.data
         m = state.m.get(name)
         if m is None:
             m = np.zeros_like(tensor.data)
@@ -90,7 +89,7 @@ def adam_step(named_params: list, grads: dict, state: OptimState) -> None:
         v += (1.0 - b2) * (g * g - v)
         m_hat = m / correct1
         v_hat = v / correct2
-        tensor.data = tensor.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        tensor.data = tensor.data - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def clip_gradients(named_params: list, max_norm: float) -> float:
@@ -113,8 +112,6 @@ def clip_gradients(named_params: list, max_norm: float) -> float:
 
 def sample_variates(N: int, ratio: float, rng: np.random.Generator) -> np.ndarray:
     """Uniform without-replacement variate subset of size max(1, round(ratio*N))."""
-    if not 0.0 < ratio <= 1.0:
-        raise ConfigError(f"variate sample ratio must be in (0, 1], got {ratio}")
     k = max(1, round(ratio * N))
     if k >= N:
         return np.arange(N)
@@ -177,6 +174,8 @@ class TrainHyper:
         # flip every gradient and zero would erase it
         if not self.clip_norm > 0:
             raise ConfigError(f"train.clip_norm must be positive, got {self.clip_norm}")
+        if not 0.0 < self.variate_ratio <= 1.0:
+            raise ConfigError(f"train.variate_ratio must be in (0, 1], got {self.variate_ratio}")
 
 
 @dataclass
@@ -212,21 +211,7 @@ def _grad_norm_stats(norms: list, clip_norm: float) -> dict:
 
 
 def _snapshot(params: ModelParams) -> dict:
-    return {
-        "params": {name: t.data.copy() for name, t in params.named_parameters()},
-        "states": [
-            (copy.deepcopy(l.norm1_state), copy.deepcopy(l.norm2_state))
-            for l in params.layers
-        ],
-    }
-
-
-def _restore(params: ModelParams, snap: dict) -> None:
-    for name, t in params.named_parameters():
-        t.data = snap["params"][name].copy()
-    for layer, (s1, s2) in zip(params.layers, snap["states"]):
-        layer.norm1_state = copy.deepcopy(s1)
-        layer.norm2_state = copy.deepcopy(s2)
+    return {name: array.copy() for name, array in state_arrays(params).items()}
 
 
 def train(
@@ -362,7 +347,7 @@ def train(
     finally:
         if log_fh:
             log_fh.close()
-    _restore(params, best)
+    load_state_arrays(params, best)
     report.test_mse, report.test_mae = evaluate(
         params, config, test_ds, batch_size=hyper.batch_size
     )

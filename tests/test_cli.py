@@ -103,7 +103,7 @@ def test_train_artifacts(workspace):
     assert report["epochs_run"] == 2
     snapshot = load_run_config(out / "config.txt")
     assert snapshot.data_path == str(workspace["data"])
-    assert snapshot.model_T == 24 and snapshot.seed == 3
+    assert snapshot.model["T"] == 24 and snapshot.seed == 3
 
 
 def test_train_missing_dataset(tmp_path, capsys):
@@ -152,7 +152,7 @@ def test_set_overrides_reach_snapshot(workspace, tmp_path):
     )
     assert code == 0
     snap = load_run_config(out / "config.txt")
-    assert snap.model_mode == "time_first" and snap.train_max_epochs == 1
+    assert snap.model["mode"] == "time_first" and snap.train["max_epochs"] == 1
     rows = read_results(out / "results.csv")
     assert rows[1][RESULTS_HEADER.index("mode")] == "time_first"
 
@@ -404,16 +404,27 @@ def test_lookback_sweep_rejects_short_length(workspace, tmp_path, capsys):
         (["train", "--set", "train.lr=-0.003"], "train.lr"),
         (["train", "--set", "train.max_epochs=0"], "train.max_epochs"),
         (["train", "--set", "data.split=6:2:0"], "split ratios"),
+        (["train", "--set", "model.H=3"], "H=3"),
+        (["train", "--set", "model.mode=bogus"], "mode='bogus'"),
+        (["train", "--set", "model.T=8"], "T=8"),
+        (["train", "--set", "train.variate_ratio=0"], "train.variate_ratio"),
+        (["train", "--set", "train.variate_ratio=1.5"], "train.variate_ratio"),
+        (["train", "--horizon-sweep", "8,0"], "F must be >= 1"),
+        (["lookback-sweep", "--lengths", "24,4"], "shorter than patch length"),
+        (["lookback-sweep", "--lengths", "24", "--set", "model.H=3"], "H=3"),
     ],
 )
 def test_malformed_setting_is_one_line_usage_error(argv, named, workspace, tmp_path, capsys):
+    # the default model settings (P=16, D=16), so each case is bad at one setting
+    out = tmp_path / "o"
     command, *rest = argv
     capsys.readouterr()
-    code = main([command, "--config", str(workspace["cfg"]), "--out", str(tmp_path / "o"), *rest])
+    code = main([command, "--data", str(workspace["data"]), "--out", str(out), *rest])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+    assert not out.exists() or not any(out.iterdir())  # nothing written before the check
 
 
 # -- output paths and atomic writes ------------------------------------------

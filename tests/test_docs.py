@@ -24,6 +24,7 @@ def test_demo_runs(demo, tmp_path):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+    assert os.listdir(tmp_path) == []  # the demo removed what it wrote
 
 
 def test_public_names_resolve_and_cover_the_readme():

@@ -143,12 +143,13 @@ def test_batch_norm_two_sample_hand_value():
 
 
 def test_batch_norm_running_stats_used_in_inference():
-    state = BatchNormState(momentum=1.0)  # running stats = last batch stats
+    state = BatchNormState()
     x = Tensor(rng(6).normal(size=(8, 2)) * 3.0 + 1.0)
     batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), state, training=True)
     y = batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), state, training=False)
-    mu = x.data.mean(axis=0, keepdims=True)
-    var = x.data.var(axis=0, keepdims=True)
+    # one 0.1-momentum step from the initial mean 0 and variance 1
+    mu = 0.1 * x.data.mean(axis=0, keepdims=True)
+    var = 0.9 + 0.1 * x.data.var(axis=0, keepdims=True)
     np.testing.assert_allclose(y.data, (x.data - mu) / np.sqrt(var + 1e-5), rtol=1e-10)
 
 

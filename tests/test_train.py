@@ -162,11 +162,6 @@ def test_sample_variates_uniform_frequency():
     assert np.abs(freq - 0.5).max() < 0.02
 
 
-def test_sample_variates_ratio_bounds():
-    with pytest.raises(ConfigError):
-        sample_variates(5, 0.0, rng(0))
-    with pytest.raises(ConfigError):
-        sample_variates(5, 1.5, rng(0))
 
 
 # -- persistence baseline ----------------------------------------------------
@@ -370,9 +365,13 @@ def test_train_split_too_short():
 
 @pytest.mark.parametrize(
     "setting",
-    [{"batch_size": 0}, {"batch_size": -1}, {"clip_norm": -1.0}, {"lr": -1e-3}, {"max_epochs": 0}],
+    [
+        {"batch_size": 0}, {"batch_size": -1}, {"clip_norm": -1.0}, {"lr": -1e-3}, {"max_epochs": 0},
+        {"variate_ratio": 0.0}, {"variate_ratio": 1.5},
+    ],
 )
 def test_train_hyper_rejects_bad_settings(setting):
     (name,) = setting
     with pytest.raises(ConfigError, match=f"train.{name}"):
         TrainHyper(**setting)
+
