@@ -123,6 +123,36 @@ def _swap_last_two(t: Tensor) -> Tensor:
     return t.permute(*axes)
 
 
+def project_heads(x: Tensor, w: Tensor) -> Tensor:
+    """Every head's projection ``x @ w[h]`` of x [..., L, D] by w [H, D, d],
+    as one [G, H, L, d] graph node, G collapsing the leading axes of x.
+
+    The product runs as a single [G*L, D] x [D, H*d] GEMM, and backward as
+    two: the broadcast ``x[:, None] @ w`` calls BLAS once per group and head
+    on [L, D] x [D, d] matrices, and its weight gradient stacks G*H tiny
+    products into a [G, H, D, d] temporary before summing it. The output is a
+    view of the GEMM's [G, L, H, d] result; the stored [H, D, d] weights keep
+    their layout. A strided x is copied to [G*L, D] rows, so callers that
+    project one input several times reshape it once first.
+    """
+    L, D = x.shape[-2], x.shape[-1]
+    H, D_in, d = w.shape
+    if D != D_in:
+        raise ShapeError(f"input width {D} != parameter width {D_in}")
+    G = x.size // (L * D)
+    x_shape = x.shape
+    x2 = x.data.reshape(G * L, D)
+    w2 = w.data.transpose(1, 0, 2).reshape(D, H * d)
+
+    def vjp(g):
+        g2 = g.transpose(0, 2, 1, 3).reshape(G * L, H * d)
+        gw = (x2.T @ g2).reshape(D, H, d).transpose(1, 0, 2)
+        return (g2 @ w2.T).reshape(x_shape), gw
+
+    out = (x2 @ w2).reshape(G, L, H, d).transpose(0, 2, 1, 3)
+    return Tensor._make(out, (x, w), vjp)
+
+
 def _attend(Qs: Tensor, Kt: Tensor, V: Tensor) -> tuple:
     """(softmax(Qs Kt) V, weights) for scaled queries and transposed keys."""
     weights = (Qs @ Kt).softmax(axis=-1)
@@ -136,10 +166,11 @@ def multi_head(x: Tensor, params: AttentionParams, want_weights: bool = False):
     ``want_weights`` returns (out, weights [groups x H x L x L]) where groups
     collapses all leading axes; the weights are a plain copy outside the graph.
 
-    Q, K and V are [G, H, L, d_k]. The queries are scaled by 1/sqrt(d_k)
-    once, which is cheaper than scaling the [.., L, L] scores, and the keys
-    transposed once. Then softmax(Qs Kt) V runs on one row block of groups at
-    a time, each block's [rows, H, L, L] scores within ``SCORE_BLOCK_BYTES``:
+    Q, K and V are [G, H, L, d_k], each one ``project_heads`` GEMM over all
+    G*L tokens. The queries are scaled by 1/sqrt(d_k) once, which is cheaper
+    than scaling the [.., L, L] scores, and the keys transposed once. Then
+    softmax(Qs Kt) V runs on one row block of groups at a time, each block's
+    [rows, H, L, L] scores within ``SCORE_BLOCK_BYTES``:
     ``Tensor.rows`` cuts the blocks as views whose gradients backward
     scatters into one buffer, and ``Tensor.concat_rows`` joins the block
     outputs. When all G groups fit one block, the slice and the join return
@@ -147,15 +178,15 @@ def multi_head(x: Tensor, params: AttentionParams, want_weights: bool = False):
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     L, D = x.shape[-2], x.shape[-1]
-    H, D_in, d_k = params.w_query.shape
-    if D != D_in:
-        raise ShapeError(f"input width {D} != parameter width {D_in}")
+    H, _, d_k = params.w_query.shape
     orig = x.shape
     G = x.size // (L * D)
-    xg = x.reshape(G, 1, L, D)
-    Q = xg @ params.w_query  # [G, H, L, d_k]
-    K = xg @ params.w_key
-    V = xg @ params.w_value
+    # one copy of a strided input (the horizontal layer's transposed grid),
+    # which all three projections then read as a view
+    xg = x.reshape(G, L, D)
+    Q = project_heads(xg, params.w_query)  # [G, H, L, d_k]
+    K = project_heads(xg, params.w_key)
+    V = project_heads(xg, params.w_value)
     # scale and transpose once; per block they would add two graph nodes
     Qs, Kt = Q * (1.0 / np.sqrt(d_k)), _swap_last_two(K)
     rows = max(1, SCORE_BLOCK_BYTES // (H * L * L * Q.data.itemsize))

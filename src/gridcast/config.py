@@ -52,8 +52,17 @@ class RunConfig:
     seed: int = 0
 
     def to_model_config(self, n_variates: Optional[int] = None) -> ModelConfig:
-        """The model config, N taken from ``n_variates`` when given."""
-        return ModelConfig(**{**self.model, "N": n_variates or self.model["N"], "seed": self.seed})
+        """The model config, N taken from ``n_variates`` when given; a nonzero
+        ``model.N`` must then equal it, so a stated width is never ignored."""
+        N = self.model["N"]
+        if n_variates:
+            if N and N != n_variates:
+                raise ConfigError(
+                    f"model.N = {N} but the data has {n_variates} variates; "
+                    "set model.N = 0 to take the width from the data"
+                )
+            N = n_variates
+        return ModelConfig(**{**self.model, "N": N, "seed": self.seed})
 
     def to_hyper(self, log_path: Optional[str] = None) -> TrainHyper:
         return TrainHyper(**self.train, seed=self.seed, log_path=log_path)

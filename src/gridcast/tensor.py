@@ -45,13 +45,29 @@ class no_grad:
         return False
 
 
+def _sum_over(axes: tuple | range, *arrays: np.ndarray) -> np.ndarray:
+    """Sum over ``axes`` of the elementwise product of ``arrays`` (of one
+    array: its plain sum), the summed axes dropped.
+
+    One ``np.einsum`` over all the axes at once, in any memory layout and
+    with no product temporary. numpy's multi-axis ``sum`` pays a fixed cost
+    per axis and per output row that outweighs the adds at this model's
+    feature widths (D = 16 at the reference config). Over leading axes both
+    accumulate row after row in memory order, so the result is the same bit
+    for bit.
+    """
+    index = list(range(arrays[0].ndim))
+    operands = [item for a in arrays for item in (a, index)]
+    return np.einsum(*operands, [i for i in index if i not in axes])
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     if grad.shape == shape:
         return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = _sum_over(range(extra), grad)
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
@@ -340,34 +356,76 @@ class Tensor:
     # -- nonlinearities ------------------------------------------------------
 
     def softmax(self, axis: int = -1) -> "Tensor":
+        """Softmax along ``axis``, computed on the [rows, L] matrix of its rows.
+
+        The rows are short at this model's sizes (L = 12 patches or 21
+        variates at the reference config), where numpy's fixed cost per row
+        of a ``max`` or ``sum`` along an axis outweighs the arithmetic. So the
+        row max is one ``np.maximum.reduceat`` over the flat rows, exact as
+        any max is, and the row sums and the backward's row dot products are
+        ``np.einsum`` row reductions. Each row's result depends on that row
+        alone, not on its position or on its buffer's alignment: cutting the
+        rows into blocks changes no bit. The vjp keeps only the output.
+        """
         if not (-self.ndim <= axis < self.ndim):
             raise ShapeError(f"softmax axis {axis} invalid for shape {self.shape}")
         ax = axis % self.ndim
         if not np.isfinite(self.data).all():
             raise NumericError("softmax input contains NaN or inf")
+        moved = self.data.swapaxes(ax, -1)  # its own inverse; a no-op for the last axis
+        L = moved.shape[-1]
+        rows = moved.reshape(-1, L)
         # one output buffer: shift, exponentiate and normalize in place
-        s = self.data - self.data.max(axis=ax, keepdims=True)
+        s = rows - np.maximum.reduceat(rows.reshape(-1), np.arange(0, rows.size, L))[:, None]
         np.exp(s, out=s)
-        s /= s.sum(axis=ax, keepdims=True)
+        s /= np.einsum("ij->i", s)[:, None]
+        shape = moved.shape
 
         def vjp(g):
-            gs = g - (g * s).sum(axis=ax, keepdims=True)
+            g_rows = g.swapaxes(ax, -1).reshape(-1, L)
+            gs = g_rows - np.einsum("ij,ij->i", g_rows, s)[:, None]
             gs *= s
-            return (gs,)
+            return (gs.reshape(shape).swapaxes(ax, -1),)
 
-        return Tensor._make(s, (self,), vjp)
+        return Tensor._make(s.reshape(shape).swapaxes(ax, -1), (self,), vjp)
 
     def gelu(self) -> "Tensor":
-        # tanh approximation: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))
+        """tanh-approximate GELU: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))).
+
+        Each pass writes into one of two buffers instead of a fresh
+        temporary per operator. The operations and their order are those of
+        the formula, so the values are the same bit for bit; the factors of
+        0.5 are exact in either order.
+        """
         k = math.sqrt(2.0 / math.pi)
         c = 0.044715
         x = self.data
-        t = np.tanh(k * (x + c * (x * x * x)))  # x**3 takes numpy's slow generic pow
-        out_data = 0.5 * x * (1.0 + t)
+        t = x * x  # x**3 takes numpy's slow generic pow
+        t *= x
+        t *= c
+        t += x
+        t *= k
+        np.tanh(t, out=t)
+        out_data = t + 1.0
+        out_data *= x
+        out_data *= 0.5
 
         def vjp(g):
-            dt = (1.0 - t * t) * k * (1.0 + 3.0 * c * x * x)
-            return (g * (0.5 * (1.0 + t) + 0.5 * x * dt),)
+            # dt = (1 - t^2) k (1 + 3c x^2); grad = g (0.5 (1 + t) + 0.5 x dt)
+            dt = x * (3.0 * c)
+            dt *= x
+            dt += 1.0
+            slope = t * t
+            np.subtract(1.0, slope, out=slope)
+            slope *= k
+            slope *= dt
+            slope *= x
+            slope *= 0.5
+            np.add(t, 1.0, out=dt)
+            dt *= 0.5
+            dt += slope
+            dt *= g
+            return (dt,)
 
         return Tensor._make(out_data, (self,), vjp)
 
@@ -475,36 +533,33 @@ def batch_norm(
     inv_std * (g - mean(g) - x_hat * mean(g * x_hat)) over `axes`
     (Ioffe & Szegedy, arXiv 1502.03167); the affine map stays ordinary ops.
     """
-    if axes is None:
-        axes = tuple(range(x.ndim - 1))
+    axes = tuple(range(x.ndim - 1)) if axes is None else Tensor._norm_axes(axes, x.ndim)
     if gamma.shape != (x.shape[-1],) or beta.shape != (x.shape[-1],):
         raise ShapeError(
             f"batch_norm affine shapes {gamma.shape}/{beta.shape} do not match "
             f"feature extent {x.shape[-1]}"
         )
+    kept = tuple(1 if a in axes else n for a, n in enumerate(x.shape))
     if training:
         inv_n = 1.0 / math.prod(x.shape[a] for a in axes)
-        mu = x.data.sum(axis=axes, keepdims=True) * inv_n
+        mu = _sum_over(axes, x.data).reshape(kept) * inv_n
         centered = x.data - mu
-        var = (centered * centered).sum(axis=axes, keepdims=True) * inv_n
+        var = _sum_over(axes, centered, centered).reshape(kept) * inv_n
         inv_std = (var + eps) ** -0.5
         x_hat_data = centered * inv_std
         state.update(mu, var)
 
         def vjp(g):
-            gx = g - g.sum(axis=axes, keepdims=True) * inv_n
-            gx -= x_hat_data * ((g * x_hat_data).sum(axis=axes, keepdims=True) * inv_n)
+            gx = g - _sum_over(axes, g).reshape(kept) * inv_n
+            gx -= x_hat_data * (_sum_over(axes, g, x_hat_data).reshape(kept) * inv_n)
             gx *= inv_std
             return (gx,)
 
         x_hat = Tensor._make(x_hat_data, (x,), vjp)
     else:
         if state.running_mean is None:
-            mean_shape = tuple(
-                1 if a in axes else n for a, n in enumerate(x.shape)
-            )
-            rm = np.zeros(mean_shape)
-            rv = np.ones(mean_shape)
+            rm = np.zeros(kept)
+            rv = np.ones(kept)
         else:
             rm, rv = state.running_mean, state.running_var
         x_hat = (x - Tensor(rm)) * Tensor(1.0 / np.sqrt(rv + eps))

@@ -156,12 +156,21 @@ def batch_norm_composite(x, gamma, beta, axes=None, eps=1e-5):
 
 def softmax_three_temporaries(x, axis=-1):
     """Softmax node with a separate array per step, the reference for the
-    in-place ``Tensor.softmax``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    in-place ``Tensor.softmax``. It uses the same einsum row sums and row
+    dot products on x's rows moved to the last axis; the row max is numpy's
+    own ``max``, which is exact like ``np.maximum.reduceat``."""
+    moved = np.moveaxis(x.data, axis, -1)
+    L = moved.shape[-1]
+    rows = moved.reshape(-1, L)
+    shifted = rows - rows.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
-    s = exp / exp.sum(axis=axis, keepdims=True)
+    s_rows = exp / np.einsum("ij->i", exp)[:, None]
+
+    def back(rows_):
+        return np.moveaxis(rows_.reshape(moved.shape), -1, axis)
 
     def vjp(g):
-        return (s * (g - (g * s).sum(axis=axis, keepdims=True)),)
+        g_rows = np.moveaxis(g, axis, -1).reshape(-1, L)
+        return (back(s_rows * (g_rows - np.einsum("ij,ij->i", g_rows, s_rows)[:, None])),)
 
-    return Tensor._make(s, (x,), vjp)
+    return Tensor._make(back(s_rows), (x,), vjp)

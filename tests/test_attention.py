@@ -14,6 +14,7 @@ from gridcast.attention import (
     encoder_layer,
     grid_transpose,
     multi_head,
+    project_heads,
     sequence_directions,
 )
 from gridcast.errors import ConfigError, ShapeError
@@ -294,8 +295,8 @@ def test_one_block_builds_the_unblocked_graph():
     p = make_params(D=4, H=2, seed=28)
     x = Tensor(rng(28).normal(size=(3, 5, 4)), requires_grad=True)
     out = multi_head(x, p)
-    xg = x.reshape(3, 1, 5, 4)
-    att, _ = scaled_dot_attention(xg @ p.w_query, xg @ p.w_key, xg @ p.w_value)
+    xg = x.reshape(3, 5, 4)
+    att, _ = scaled_dot_attention(*(project_heads(xg, w) for w in (p.w_query, p.w_key, p.w_value)))
     ref = (att.permute(0, 2, 1, 3).reshape(3, 5, 4) @ p.w_out).reshape(3, 5, 4)
     assert (out.data == ref.data).all()
     assert graph_nodes(out) == graph_nodes(ref)

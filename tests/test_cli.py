@@ -112,6 +112,16 @@ def test_train_missing_dataset(tmp_path, capsys):
     assert "absent.csv" in capsys.readouterr().err
 
 
+def test_train_model_n_other_than_the_data_width_exits_2_first(workspace, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["train", "--config", str(workspace["cfg"]), "--out", str(out),
+                 "--set", "model.N=5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "model.N = 5" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_train_rerun_is_identical_apart_from_timing(workspace, tmp_path):
     out2 = tmp_path / "rerun"
     code = main(["train", "--config", str(workspace["cfg"]), "--out", str(out2)])

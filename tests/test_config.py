@@ -107,6 +107,13 @@ def test_to_model_config_infers_width():
         run.to_model_config(None)
     run.model["N"] = 3
     assert run.to_model_config(None).N == 3
+    assert run.to_model_config(3).N == 3
+
+
+def test_to_model_config_rejects_a_width_the_data_does_not_have():
+    run = parse_run_config("model.N = 5\n")
+    with pytest.raises(ConfigError, match="model.N = 5 but the data has 4 variates"):
+        run.to_model_config(4)
 
 
 def test_to_model_config_carries_seed():

@@ -5,8 +5,11 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from gridcast.attention import project_heads
 from gridcast.errors import NumericError, ShapeError
 from gridcast.tensor import (
     BatchNormState,
@@ -116,6 +119,105 @@ def test_softmax_matches_three_temporary_reference(axis):
     (ref * weight).sum().backward()
     assert (out.data == ref.data).all()
     assert (a.grad == b.grad).all()
+
+
+# -- row kernels: softmax, gelu and the head projection ------------------------
+
+
+def softmax_reference(x, axis):
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    L=st.integers(1, 160),
+    rows=st.integers(1, 4),
+    axis=st.sampled_from([-1, 0, 1]),
+    scale=st.floats(0.01, 40.0),
+    seed=st.integers(0, 2**16),
+)
+def test_softmax_matches_plain_numpy(L, rows, axis, scale, seed):
+    shape = {-1: (rows, 3, L), 0: (L, rows, 3), 1: (rows, L, 3)}[axis]
+    x = rng(seed).normal(size=shape) * scale
+    out = Tensor(x).softmax(axis=axis)
+    np.testing.assert_allclose(out.data, softmax_reference(x, axis), rtol=1e-14, atol=0)
+
+
+def unaligned_copy(a, byte_offset):
+    """A copy of ``a`` whose data starts ``byte_offset`` bytes into a buffer."""
+    buf = bytearray(a.nbytes + 64)
+    out = np.frombuffer(buf, dtype=a.dtype, count=a.size, offset=byte_offset).reshape(a.shape)
+    out[...] = a
+    return out
+
+
+def softmax_and_grad(x, w):
+    t = Tensor(x, requires_grad=True)
+    out = t.softmax(axis=-1)
+    (out * Tensor(w)).sum().backward()
+    return out.data, t.grad
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    L=st.integers(1, 160),
+    batch=st.integers(1, 9),
+    data=st.data(),
+    byte_offset=st.integers(1, 63),
+    seed=st.integers(0, 2**16),
+)
+def test_softmax_row_does_not_depend_on_its_position(L, batch, data, byte_offset, seed):
+    # blocked attention cuts score rows at arbitrary offsets and must give the
+    # unblocked values bit for bit
+    r = rng(seed)
+    x, w = r.normal(size=(batch, L)) * 5.0, r.normal(size=(batch, L))
+    i = data.draw(st.integers(0, batch - 1))
+    out, grad = softmax_and_grad(x, w)
+    alone_out, alone_grad = softmax_and_grad(x[i : i + 1].copy(), w[i : i + 1].copy())
+    moved_out, moved_grad = softmax_and_grad(
+        unaligned_copy(x, byte_offset), unaligned_copy(w, byte_offset)
+    )
+    for got_out, got_grad, row in ((alone_out, alone_grad, 0), (moved_out, moved_grad, i)):
+        np.testing.assert_array_equal(got_out[row], out[i])
+        np.testing.assert_array_equal(got_grad[row], grad[i])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 200), scale=st.floats(0.01, 10.0), seed=st.integers(0, 2**16))
+def test_gelu_in_place_chain_is_the_formula_bit_for_bit(n, scale, seed):
+    r = rng(seed)
+    x, g = r.normal(size=n) * scale, r.normal(size=n)
+    k, c = math.sqrt(2.0 / math.pi), 0.044715
+    t = np.tanh(k * (x + c * (x * x * x)))
+    dt = (1.0 - t * t) * k * (1.0 + 3.0 * c * x * x)
+    a = Tensor(x, requires_grad=True)
+    out = a.gelu()
+    (out * Tensor(g)).sum().backward()
+    np.testing.assert_array_equal(out.data, 0.5 * x * (1.0 + t))
+    np.testing.assert_array_equal(a.grad, g * (0.5 * (1.0 + t) + 0.5 * x * dt))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    lead=st.lists(st.integers(1, 3), min_size=0, max_size=2),
+    L=st.integers(1, 4),
+    H=st.integers(1, 3),
+    d=st.integers(1, 3),
+    D=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_grad_check_project_heads(lead, L, H, d, D, seed):
+    r = rng(seed)
+    x = Tensor(r.normal(size=(*lead, L, D)))
+    w = Tensor(r.normal(size=(H, D, d)))
+    weight = Tensor(r.normal(size=(math.prod(lead), H, L, d)))
+    out = project_heads(x, w)
+    assert out.shape == weight.shape
+    np.testing.assert_allclose(
+        out.data, np.matmul(x.data.reshape(-1, 1, L, D), w.data), rtol=1e-12, atol=1e-12
+    )
+    assert grad_check(lambda ts: (project_heads(ts[0], ts[1]) * weight).sum(), [x, w]) < 1e-6
 
 
 # -- batch norm --------------------------------------------------------------
@@ -365,8 +467,8 @@ def test_graph_frees_intermediates_backward_twice_adds_twice():
 
     scores = a_data @ b_data
     s = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    s /= s.sum(axis=-1, keepdims=True)
-    g = w - (w * s).sum(axis=-1, keepdims=True)
+    s /= np.einsum("...j->...", s)[..., None]
+    g = w - np.einsum("...j,...j->...", w, s)[..., None]
     g *= s
     loss.backward()
     np.testing.assert_array_equal(A.grad, np.matmul(g, b_data.T))
