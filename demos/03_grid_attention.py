@@ -55,9 +55,11 @@ print("vertical == transpose(horizontal(transpose)):", bool((v_direct.data == v_
 
 # Attention weights are row-stochastic: every query's weights sum to one.
 seq = Tensor(rng.normal(size=(1, M, D)))
-_, weights = multi_head(seq.reshape(M, D), layer, want_weights=True)
-print("weight matrix shape [H, M, M]:", weights.data.shape)
-print("max |row sum - 1|:", float(np.abs(weights.data.sum(axis=-1) - 1).max()))
+captured = []
+multi_head(seq.reshape(M, D), layer, capture=captured)
+weights = captured[0]
+print("weight array shape [groups, H, M, M]:", weights.shape)
+print("max |row sum - 1|:", float(np.abs(weights.sum(axis=-1) - 1).max()))
 
 # The full model chains the layers per its sequencing mode and forecasts.
 pred, _ = forward(x, params, cfg)

@@ -159,12 +159,13 @@ def _attend(Qs: Tensor, Kt: Tensor, V: Tensor) -> tuple:
     return weights @ V, weights
 
 
-def multi_head(x: Tensor, params: AttentionParams, want_weights: bool = False):
+def multi_head(x: Tensor, params: AttentionParams, capture: Optional[list] = None) -> Tensor:
     """Multi-head attention over the trailing [L x D] axes of ``x``.
 
-    Per-head outputs are concatenated and projected by w_out. With
-    ``want_weights`` returns (out, weights [groups x H x L x L]) where groups
-    collapses all leading axes; the weights are a plain copy outside the graph.
+    Per-head outputs are concatenated and projected by w_out. When
+    ``capture`` is a list, the attention weights [G x H x L x L], G
+    collapsing all leading axes, are appended to it as a plain array outside
+    the graph.
 
     Q, K and V are [G, H, L, d_k], each one ``project_heads`` GEMM over all
     G*L tokens. The queries are scaled by 1/sqrt(d_k) once, which is cheaper
@@ -195,7 +196,7 @@ def multi_head(x: Tensor, params: AttentionParams, want_weights: bool = False):
         stop = min(start + rows, G)
         att, weights = _attend(Qs.rows(start, stop), Kt.rows(start, stop), V.rows(start, stop))
         outs.append(att)
-        if want_weights:
+        if capture is not None:
             block_weights.append(weights.data)
     # free the scaled queries before the output projection allocates: without
     # a graph nothing else holds them, and a forward then allocates and frees
@@ -204,10 +205,9 @@ def multi_head(x: Tensor, params: AttentionParams, want_weights: bool = False):
     att = Tensor.concat_rows(outs)  # [G, H, L, d_v]
     d_v = params.w_value.shape[-1]
     cat = att.permute(0, 2, 1, 3).reshape(G, L, H * d_v)
-    out = (cat @ params.w_out).reshape(*orig)
-    if want_weights:
-        return out, Tensor(np.concatenate(block_weights))
-    return out
+    if capture is not None:
+        capture.append(np.concatenate(block_weights))
+    return (cat @ params.w_out).reshape(*orig)
 
 
 def encoder_layer(
@@ -217,27 +217,22 @@ def encoder_layer(
     dropout_rate: float = 0.0,
     rng: Optional[np.random.Generator] = None,
     capture: Optional[list] = None,
-    bn_axes: Optional[tuple] = None,
 ) -> Tensor:
     """Post-norm transformer encoder block over the trailing [L x D] axes.
 
     y1 = BN(x + Dropout(MHA(x))); y = BN(y1 + Dropout(FFN(y1))), where the FFN
     is gelu(x W1) W2 and both norms standardize each feature over every other
-    axis (batch and token positions together by default).
+    axis, batch and token positions together. ``capture`` is passed to
+    ``multi_head``.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
-    if capture is not None:
-        att, weights = multi_head(x, params, want_weights=True)
-        capture.append(weights.data)
-    else:
-        att = multi_head(x, params)
+    att = multi_head(x, params, capture)
     y1 = batch_norm(
         x + dropout(att, dropout_rate, rng, training),
         params.norm1_gamma,
         params.norm1_beta,
         params.norm1_state,
         training,
-        axes=bn_axes,
     )
     ffn = (y1 @ params.ffn_in).gelu() @ params.ffn_out
     return batch_norm(
@@ -246,7 +241,6 @@ def encoder_layer(
         params.norm2_beta,
         params.norm2_state,
         training,
-        axes=bn_axes,
     )
 
 

@@ -23,6 +23,7 @@ from gridcast.config import (
     RunConfig,
     apply_overrides,
     load_run_config,
+    parse_columns,
     save_run_config,
 )
 from gridcast.data import (
@@ -199,10 +200,7 @@ def cmd_eval(args) -> int:
 
 
 def _load_window(args, cfg):
-    win = load_csv(
-        args.window,
-        drop_columns=[c.strip() for c in args.drop_columns.split(",")] if args.drop_columns else None,
-    )
+    win = load_csv(args.window, drop_columns=parse_columns(args.drop_columns))
     if win.timesteps != cfg.T:
         raise ConfigError(
             f"window {args.window} has {win.timesteps} rows but the checkpoint "

@@ -68,15 +68,17 @@ class RunConfig:
         return TrainHyper(**self.train, seed=self.seed, log_path=log_path)
 
     def columns(self, which: str) -> Optional[list]:
-        """Split a comma-separated column list, ints where possible."""
-        raw = getattr(self, f"data_{which}_columns")
-        if not raw.strip():
-            return None
-        out = []
-        for part in raw.split(","):
-            part = part.strip()
-            out.append(int(part) if part.lstrip("-").isdigit() else part)
-        return out
+        """``data.<which>_columns`` as ``parse_columns`` splits it."""
+        return parse_columns(getattr(self, f"data_{which}_columns"))
+
+
+def parse_columns(text: Optional[str]) -> Optional[list]:
+    """Split a comma-separated column list into names and integer indices
+    (digits, optionally negative); None for an empty list."""
+    if not text or not text.strip():
+        return None
+    parts = [part.strip() for part in text.split(",")]
+    return [int(part) if part.lstrip("-").isdigit() else part for part in parts]
 
 
 def _key_of(attr: str) -> str:

@@ -31,7 +31,6 @@ from gridcast.errors import ConfigError, ShapeError
 from gridcast.tensor import Tensor
 
 CHECKPOINT_MAGIC = "gridcast-checkpoint-1"
-NORM_CHOICES = ("batch_and_tokens", "batch_only")
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,6 @@ class ModelConfig:
     dropout: float = 0.2
     mode: str = "alternate"
     seed: int = 0
-    norm_over: str = "batch_and_tokens"
 
     def __post_init__(self):
         for name in ("T", "F", "N", "P", "S", "D", "H", "L", "D_ff"):
@@ -66,8 +64,6 @@ class ModelConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.mode not in SEQUENCING_MODES:
             raise ConfigError(f"mode={self.mode!r} must be one of {SEQUENCING_MODES}")
-        if self.norm_over not in NORM_CHOICES:
-            raise ConfigError(f"norm_over={self.norm_over!r} must be one of {NORM_CHOICES}")
 
     @property
     def M(self) -> int:
@@ -141,11 +137,9 @@ def forward(
     padded = pad_tail(xn, config.P, config.S)
     grid = embed_grid(padded, params.W_p, params.W_pos, config.P, config.S)
 
-    bn_axes = None if config.norm_over == "batch_and_tokens" else (0, 1)
-    maps: Optional[List[AttentionMap]] = [] if capture_attention else None
+    captured: Optional[list] = [] if capture_attention else None
     for direction, layer in zip(params.directions, params.layers):
         apply = apply_horizontal if direction == "horizontal" else apply_vertical
-        captured: Optional[list] = [] if capture_attention else None
         grid = apply(
             grid,
             layer,
@@ -153,18 +147,20 @@ def forward(
             dropout_rate=config.dropout if training else 0.0,
             rng=rng,
             capture=captured,
-            bn_axes=bn_axes,
         )
-        if capture_attention:
-            # [groups, heads, L, L] -> head- and group-averaged [L, L]
-            avg = captured[0].mean(axis=(0, 1))
-            maps.append(AttentionMap(avg, direction, len(maps)))
 
     M, D = config.M, config.D
     moved = grid.permute(0, 2, 1, 3)  # [B, N, M, D]
     flat = moved.reshape(B, N, M * D)
     pred = flat @ params.head_w + params.head_b  # [B, N, F]
     y_norm = pred.permute(0, 2, 1)  # [B, F, N]
+    maps = None
+    if capture_attention:
+        # one [groups, heads, L, L] array per layer -> head- and group-averaged [L, L]
+        maps = [
+            AttentionMap(weights.mean(axis=(0, 1)), direction, i)
+            for i, (weights, direction) in enumerate(zip(captured, params.directions))
+        ]
     return revin_denormalize(y_norm, stats), maps
 
 
@@ -222,25 +218,42 @@ def state_arrays(params: ModelParams) -> dict:
     return arrays
 
 
+def _restored(arrays, key: str, shape: tuple) -> np.ndarray:
+    """A float64 copy of ``arrays[key]``, which must hold finite numbers in
+    ``shape``."""
+    try:
+        loaded = arrays[key]
+    except (ValueError, zipfile.BadZipFile) as exc:  # an object array, or damaged bytes
+        raise ConfigError(f"{key} cannot be read: {exc}") from None
+    if loaded.dtype.kind not in "fiu":
+        raise ConfigError(f"{key} has dtype {loaded.dtype}, expected numbers")
+    if loaded.shape != shape:
+        raise ConfigError(f"{key} has shape {loaded.shape}, expected {shape}")
+    loaded = loaded.astype(np.float64)
+    if not np.isfinite(loaded).all():
+        raise ConfigError(f"{key} holds non-finite values")
+    return loaded
+
+
 def load_state_arrays(params: ModelParams, arrays) -> None:
     """Set ``params`` from copies of ``state_arrays``-named arrays; running
-    statistics absent from ``arrays`` restore to None (never updated)."""
+    statistics absent from ``arrays`` restore to None (never updated). Every
+    array must hold finite numbers in its parameter's shape, each running
+    statistic [1, 1, 1, D] and stored with its partner."""
     for name, tensor in params.named_parameters():
-        key = "param/" + name
-        if key not in arrays:
+        if "param/" + name not in arrays:
             raise ConfigError(f"missing parameter {name}")
-        loaded = arrays[key]
-        if loaded.shape != tensor.data.shape:
-            raise ConfigError(
-                f"parameter {name} has shape {loaded.shape}, expected {tensor.data.shape}"
-            )
-        tensor.data = loaded.astype(np.float64)
+        tensor.data = _restored(arrays, "param/" + name, tensor.data.shape)
     for i, layer in enumerate(params.layers):
+        stat_shape = (1, 1, 1, layer.norm1_gamma.shape[0])
         for tag, state in (("norm1", layer.norm1_state), ("norm2", layer.norm2_state)):
             prefix = f"state/layers.{i}.{tag}.running_"
-            if prefix + "mean" in arrays:
-                state.running_mean = arrays[prefix + "mean"].astype(np.float64)
-                state.running_var = arrays[prefix + "var"].astype(np.float64)
+            mean, var = prefix + "mean", prefix + "var"
+            if (mean in arrays) != (var in arrays):
+                raise ConfigError(f"{mean} and {var} must be stored together")
+            if mean in arrays:
+                state.running_mean = _restored(arrays, mean, stat_shape)
+                state.running_var = _restored(arrays, var, stat_shape)
             else:
                 state.running_mean = state.running_var = None
 
@@ -264,12 +277,21 @@ def load_checkpoint(path) -> tuple:
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
     with archive:
-        if "__magic__" not in archive or str(archive["__magic__"][()]) != CHECKPOINT_MAGIC:
+        try:
+            magic = str(archive["__magic__"][()])
+        except (KeyError, IndexError, ValueError, zipfile.BadZipFile):  # absent or unreadable
+            magic = None
+        if magic != CHECKPOINT_MAGIC:
             raise ConfigError(f"{path} is not a {CHECKPOINT_MAGIC} file")
         try:
-            config = ModelConfig(**json.loads(str(archive["__config__"][()])))
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+            stored = json.loads(str(archive["__config__"][()]))
+            # older checkpoints store norm_over; its default is the only policy left
+            norm_over = stored.pop("norm_over", "batch_and_tokens")
+            config = ModelConfig(**stored)
+        except (KeyError, TypeError, AttributeError, ValueError, zipfile.BadZipFile) as exc:
             raise ConfigError(f"checkpoint {path} has no valid model config: {exc}") from exc
+        if norm_over != "batch_and_tokens":
+            raise ConfigError(f"checkpoint {path} uses norm_over = {norm_over}, which was dropped")
         params = build(config)
         try:
             load_state_arrays(params, archive)

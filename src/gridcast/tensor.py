@@ -521,27 +521,25 @@ def batch_norm(
     beta: Tensor,
     state: BatchNormState,
     training: bool,
-    axes: tuple | None = None,
     eps: float = 1e-5,
 ) -> Tensor:
-    """Normalize over `axes` (default: all but the last, the feature axis).
+    """Normalize each feature (the last axis) over all the other axes.
 
     Training mode uses biased batch statistics and folds them into `state`;
-    inference mode uses the running statistics. Fully differentiable in x,
-    gamma and beta, including through the batch statistics. In training mode
-    the normalization is one graph node whose backward is the closed form
-    inv_std * (g - mean(g) - x_hat * mean(g * x_hat)) over `axes`
+    inference mode uses the running statistics. Either mode normalizes in one
+    graph node, in training mode differentiable through the batch statistics
+    by the closed form inv_std * (g - mean(g) - x_hat * mean(g * x_hat))
     (Ioffe & Szegedy, arXiv 1502.03167); the affine map stays ordinary ops.
     """
-    axes = tuple(range(x.ndim - 1)) if axes is None else Tensor._norm_axes(axes, x.ndim)
     if gamma.shape != (x.shape[-1],) or beta.shape != (x.shape[-1],):
         raise ShapeError(
             f"batch_norm affine shapes {gamma.shape}/{beta.shape} do not match "
             f"feature extent {x.shape[-1]}"
         )
-    kept = tuple(1 if a in axes else n for a, n in enumerate(x.shape))
+    axes = range(x.ndim - 1)
+    kept = (1,) * (x.ndim - 1) + (x.shape[-1],)
     if training:
-        inv_n = 1.0 / math.prod(x.shape[a] for a in axes)
+        inv_n = 1.0 / math.prod(x.shape[:-1])
         mu = _sum_over(axes, x.data).reshape(kept) * inv_n
         centered = x.data - mu
         var = _sum_over(axes, centered, centered).reshape(kept) * inv_n
@@ -555,15 +553,18 @@ def batch_norm(
             gx *= inv_std
             return (gx,)
 
-        x_hat = Tensor._make(x_hat_data, (x,), vjp)
     else:
         if state.running_mean is None:
-            rm = np.zeros(kept)
-            rv = np.ones(kept)
+            rm, rv = np.zeros(kept), np.ones(kept)
         else:
             rm, rv = state.running_mean, state.running_var
-        x_hat = (x - Tensor(rm)) * Tensor(1.0 / np.sqrt(rv + eps))
-    return x_hat * gamma + beta
+        inv_std = 1.0 / np.sqrt(rv + eps)
+        x_hat_data = (x.data - rm) * inv_std
+
+        def vjp(g):
+            return (g * inv_std,)
+
+    return Tensor._make(x_hat_data, (x,), vjp) * gamma + beta
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:

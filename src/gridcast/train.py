@@ -118,17 +118,26 @@ def sample_variates(N: int, ratio: float, rng: np.random.Generator) -> np.ndarra
     return np.sort(rng.choice(N, size=k, replace=False))
 
 
-def persistence_baseline(ds: TimeSeriesDataset, T: int, F: int) -> tuple:
-    """MSE/MAE of repeating each window's last observed value F steps ahead."""
+def _errors(ds: TimeSeriesDataset, T: int, F: int, batch_size: int, predict) -> tuple:
+    """MSE/MAE of ``predict(inputs)`` [B x F x N] against the targets, over
+    every window of ``ds``."""
     se = ae = 0.0
     count = 0
-    for batch in make_windows(ds, T, F, batch_size=256):
-        pred = np.repeat(batch.inputs[:, -1:, :], F, axis=1)
+    for batch in make_windows(ds, T, F, batch_size=batch_size):
+        # a named pred stops numpy from reusing the temporary forecast's
+        # buffer for diff; diff would then keep the forecast's transposed
+        # layout, and the sums below would add in another order
+        pred = predict(batch.inputs)
         diff = pred - batch.targets
         se += float((diff**2).sum())
         ae += float(np.abs(diff).sum())
         count += diff.size
     return se / count, ae / count
+
+
+def persistence_baseline(ds: TimeSeriesDataset, T: int, F: int) -> tuple:
+    """MSE/MAE of repeating each window's last observed value F steps ahead."""
+    return _errors(ds, T, F, 256, lambda inputs: np.repeat(inputs[:, -1:, :], F, axis=1))
 
 
 def evaluate(
@@ -138,16 +147,12 @@ def evaluate(
     batch_size: int = 64,
 ) -> tuple:
     """Inference-mode MSE/MAE over every window of a split, all variates."""
-    se = ae = 0.0
-    count = 0
+
+    def predict(inputs):
+        return forward(inputs, params, config, training=False)[0].data
+
     with no_grad():
-        for batch in make_windows(ds, config.T, config.F, batch_size=batch_size):
-            pred, _ = forward(batch.inputs, params, config, training=False)
-            diff = pred.data - batch.targets
-            se += float((diff**2).sum())
-            ae += float(np.abs(diff).sum())
-            count += diff.size
-    return se / count, ae / count
+        return _errors(ds, config.T, config.F, batch_size, predict)
 
 
 @dataclass

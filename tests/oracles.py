@@ -142,11 +142,10 @@ def scaled_dot_attention(Q, K, V):
     return weights @ V, weights
 
 
-def batch_norm_composite(x, gamma, beta, axes=None, eps=1e-5):
+def batch_norm_composite(x, gamma, beta, eps=1e-5):
     """Training-mode batch norm as a graph of primitive ops; the reference
     for the single-node ``batch_norm``, whose forward arithmetic it shares."""
-    if axes is None:
-        axes = tuple(range(x.ndim - 1))
+    axes = tuple(range(x.ndim - 1))
     mu = x.mean(axis=axes, keepdims=True)
     centered = x - mu
     var = (centered * centered).mean(axis=axes, keepdims=True)

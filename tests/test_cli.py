@@ -290,6 +290,76 @@ def test_eval_truncated_checkpoint_is_one_line_error(workspace, tmp_path, capsys
     assert err.count("\n") == 1
 
 
+def _corrupt(archive, case):
+    """Damage a checkpoint's arrays (a dict) as ``case`` names."""
+    stat = "state/layers.0.norm1.running_"
+    if case == "string_dtype":
+        archive["param/head_b"] = np.array(["x"] * len(archive["param/head_b"]))
+    elif case == "object_dtype":
+        archive["param/head_b"] = np.array([None] * len(archive["param/head_b"]), dtype=object)
+    elif case == "stat_shape":
+        archive[stat + "mean"] = np.zeros((1, 1, 4, archive[stat + "mean"].shape[-1]))
+    elif case == "unpaired_stat":
+        del archive[stat + "var"]
+    elif case == "nan_value":
+        archive["param/head_b"] = np.full(archive["param/head_b"].shape, np.nan)
+    elif case == "batch_only":
+        config = json.loads(str(archive["__config__"][()]))
+        archive["__config__"] = np.array(json.dumps({**config, "norm_over": "batch_only"}))
+    elif case == "object_magic":
+        archive["__magic__"] = np.array([str(archive["__magic__"]), None], dtype=object)
+    elif case == "object_config":
+        archive["__config__"] = np.array([None], dtype=object)
+
+
+CORRUPTION_ERRORS = {
+    "string_dtype": "param/head_b has dtype",
+    "object_dtype": "param/head_b cannot be read",
+    "stat_shape": "running_mean has shape (1, 1, 4, 8), expected (1, 1, 1, 8)",
+    "unpaired_stat": "must be stored together",
+    "nan_value": "param/head_b holds non-finite values",
+    "batch_only": "norm_over = batch_only",
+    "object_magic": "is not a gridcast-checkpoint-1 file",
+    "object_config": "has no valid model config",
+}
+
+
+@pytest.mark.parametrize("case", list(CORRUPTION_ERRORS))
+def test_forecast_corrupt_checkpoint_is_one_line_error(case, workspace, tmp_path, capsys):
+    archive = dict(np.load(workspace["out"] / "model_F8.ckpt", allow_pickle=False))
+    _corrupt(archive, case)
+    ckpt = tmp_path / "bad.ckpt"
+    with open(ckpt, "wb") as fh:
+        np.savez(fh, **archive)
+    path, _ = window_csv(workspace, tmp_path)
+    capsys.readouterr()
+    code = main(["forecast", "--checkpoint", str(ckpt), "--window", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert CORRUPTION_ERRORS[case] in captured.err
+    assert captured.out == ""
+
+
+def test_forecast_drop_columns_takes_an_index_as_data_drop_columns_does(workspace, tmp_path):
+    path, window = window_csv(workspace, tmp_path)
+    dated = tmp_path / "dated.csv"
+    with open(dated, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["date"] + [f"v{i}" for i in range(window.shape[1])])
+        for i, row in enumerate(window):
+            writer.writerow([f"2020-01-01 {i:02d}:00"] + [repr(float(v)) for v in row])
+    ckpt = str(workspace["out"] / "model_F8.ckpt")
+    outputs = []
+    for window_path, drop in ((dated, "0"), (dated, "date"), (path, None)):
+        out_file = tmp_path / f"fc_{len(outputs)}.csv"
+        argv = ["forecast", "--checkpoint", ckpt, "--window", str(window_path)]
+        argv += ["--out-file", str(out_file)] + (["--drop-columns", drop] if drop else [])
+        assert main(argv) == 0
+        outputs.append(out_file.read_text())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 # -- export-attention --------------------------------------------------------
 
 
@@ -422,6 +492,7 @@ def test_lookback_sweep_rejects_short_length(workspace, tmp_path, capsys):
         (["train", "--horizon-sweep", "8,0"], "F must be >= 1"),
         (["lookback-sweep", "--lengths", "24,4"], "shorter than patch length"),
         (["lookback-sweep", "--lengths", "24", "--set", "model.H=3"], "H=3"),
+        (["train", "--set", "model.norm_over=batch_and_tokens"], "unknown config key"),
     ],
 )
 def test_malformed_setting_is_one_line_usage_error(argv, named, workspace, tmp_path, capsys):

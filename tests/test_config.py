@@ -159,7 +159,6 @@ model.L = 2
 model.D_ff = 32
 model.dropout = 0.2
 model.mode = alternate
-model.norm_over = batch_and_tokens
 train.lr = 0.0001
 train.batch_size = 32
 train.max_epochs = 10
@@ -190,7 +189,6 @@ model.L = 3
 model.D_ff = 40
 model.dropout = 0.1
 model.mode = time_first
-model.norm_over = batch_only
 train.lr = 0.0003
 train.batch_size = 8
 train.max_epochs = 3
@@ -211,7 +209,7 @@ def test_written_config_parses_to_equal_model_config_and_hyper():
     run = parse_run_config(WRITTEN_TEXT)
     assert run.to_model_config(5) == ModelConfig(
         T=48, F=12, N=5, P=8, S=4, D=24, H=3, L=3, D_ff=40, dropout=0.1,
-        mode="time_first", seed=11, norm_over="batch_only",
+        mode="time_first", seed=11,
     )
     assert run.to_hyper("x.jsonl") == TrainHyper(
         lr=0.0003, batch_size=8, max_epochs=3, patience=2, clip_norm=1.5,
@@ -226,6 +224,6 @@ def test_section_keys_are_the_dataclass_fields():
     assert list(run.train) == [
         f.name for f in fields(TrainHyper) if f.name not in ("seed", "log_path")
     ]
-    for key in ("model.seed", "train.seed", "train.log_path", "data.frequency"):
+    for key in ("model.seed", "model.norm_over", "train.seed", "train.log_path", "data.frequency"):
         with pytest.raises(ConfigError, match="unknown config key"):
             set_key(run, key, "1")

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import gridcast
+from gridcast.config import parse_run_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = sorted(name for name in os.listdir(os.path.join(ROOT, "demos")) if name.endswith(".py"))
@@ -37,3 +38,13 @@ def test_public_names_resolve_and_cover_the_readme():
         imported.update(n.strip() for n in names.split(","))
     assert imported, "the README has no 'from gridcast import' line"
     assert imported <= set(gridcast.__all__), imported - set(gridcast.__all__)
+
+
+def test_readme_run_config_parses_and_builds():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    blocks = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1, "the README should hold one ```ini run.cfg block"
+    run = parse_run_config(blocks[0])
+    assert run.to_model_config(4).N == 4
+    run.to_hyper()

@@ -48,7 +48,6 @@ def test_config_derived_patch_count():
         (dict(dropout=1.0), "dropout"),
         (dict(mode="diagonal"), "mode"),
         (dict(L=0), "L"),
-        (dict(norm_over="none"), "norm_over"),
     ],
 )
 def test_config_validation_names_field(kw, field):
@@ -362,6 +361,19 @@ def test_checkpoint_rejects_truncated_file(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_damaged_bytes(tmp_path):
+    # the zip directory at the end stays intact, so the damage shows only
+    # when a member is read
+    path = saved_checkpoint(tmp_path)
+    data = bytearray(path.read_bytes())
+    for start in (len(data) // 4, len(data) // 2):
+        damaged = data.copy()
+        damaged[start : start + 16] = bytes(b ^ 0xFF for b in damaged[start : start + 16])
+        path.write_bytes(bytes(damaged))
+        with pytest.raises(ConfigError, match="model.ckpt"):
+            load_checkpoint(path)
+
+
 def test_checkpoint_rejects_unknown_config_key(tmp_path):
     path = saved_checkpoint(tmp_path)
     config = json.loads(str(np.load(path, allow_pickle=False)["__config__"][()]))
@@ -406,3 +418,27 @@ def test_checkpoint_missing_parameter(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_checkpoint(path)
     assert "head_w" in str(err.value)
+
+
+def test_checkpoint_with_the_norm_over_key_loads_and_forecasts_the_same_bits(tmp_path):
+    # every checkpoint written while ModelConfig had norm_over stores
+    # "norm_over": "batch_and_tokens" in its config JSON
+    cfg = small_config(N=3)
+    params = build(cfg, rng(27))
+    forward(rng(28).normal(size=(4, 32, 3)), params, cfg, training=True)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, cfg)
+    config = json.loads(str(np.load(path, allow_pickle=False)["__config__"][()]))
+    rewrite_config(path, json.dumps({**config, "norm_over": "batch_and_tokens"}))
+    loaded_params, loaded_cfg = load_checkpoint(path)
+    assert loaded_cfg == cfg
+    x = rng(29).normal(size=(2, 32, 3))
+    assert (forward(x, loaded_params, cfg)[0].data == forward(x, params, cfg)[0].data).all()
+
+
+def test_checkpoint_normalized_per_token_is_rejected(tmp_path):
+    path = saved_checkpoint(tmp_path)
+    config = json.loads(str(np.load(path, allow_pickle=False)["__config__"][()]))
+    rewrite_config(path, json.dumps({**config, "norm_over": "batch_only"}))
+    with pytest.raises(ConfigError, match="norm_over = batch_only"):
+        load_checkpoint(path)

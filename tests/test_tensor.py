@@ -262,8 +262,7 @@ def test_batch_norm_zero_variance_clamped_not_error():
 
 
 @pytest.mark.parametrize("shape", [(6, 4), (2, 3, 5, 4)])
-@pytest.mark.parametrize("axes", [None, (0, 1)])
-def test_batch_norm_matches_composite_reference(shape, axes):
+def test_batch_norm_matches_composite_reference(shape):
     r = rng(8)
     arrays = (r.normal(size=shape) * 3.0 + 1.0, r.normal(size=4), r.normal(size=4))
     weight = Tensor(r.normal(size=shape))
@@ -274,8 +273,8 @@ def test_batch_norm_matches_composite_reference(shape, axes):
         (out * weight).sum().backward()
         return out.data, [t.grad for t in ts]
 
-    out, grads = run(lambda x, g, b: batch_norm(x, g, b, BatchNormState(), True, axes=axes))
-    ref, ref_grads = run(lambda x, g, b: oracles.batch_norm_composite(x, g, b, axes=axes))
+    out, grads = run(lambda x, g, b: batch_norm(x, g, b, BatchNormState(), True))
+    ref, ref_grads = run(lambda x, g, b: oracles.batch_norm_composite(x, g, b))
     assert (out == ref).all()
     for got, want in zip(grads, ref_grads):
         np.testing.assert_allclose(got, want, rtol=1e-10)
@@ -598,10 +597,41 @@ def test_grad_check_batch_norm_training_4d_batch_axes():
     weight = Tensor(r.normal(size=(2, 3, 2, 3)))
 
     def fn(ts):
-        out = batch_norm(ts[0], ts[1], ts[2], BatchNormState(), training=True, axes=(0, 1))
+        out = batch_norm(ts[0], ts[1], ts[2], BatchNormState(), training=True)
         return (out * out * weight).sum()
 
     assert grad_check(fn, [x, gamma, beta]) < 1e-3
+
+
+def test_grad_check_batch_norm_inference():
+    r = rng(17)
+    x = Tensor(r.normal(size=(2, 3, 2, 3)))
+    gamma = Tensor(r.normal(size=(3,)))
+    beta = Tensor(r.normal(size=(3,)))
+    weight = Tensor(r.normal(size=(2, 3, 2, 3)))
+    state = BatchNormState(r.normal(size=(1, 1, 1, 3)), r.uniform(0.5, 2.0, size=(1, 1, 1, 3)))
+
+    def fn(ts):
+        out = batch_norm(ts[0], ts[1], ts[2], state, training=False)
+        return (out * out * weight).sum()
+
+    assert grad_check(fn, [x, gamma, beta]) < 1e-3
+
+
+def test_batch_norm_inference_node_equals_the_composed_ops():
+    r = rng(18)
+    x = Tensor(r.normal(size=(3, 4, 5, 6)) * 2.0 + 1.0, requires_grad=True)
+    gamma, beta = Tensor(r.normal(size=6)), Tensor(r.normal(size=6))
+    rm, rv = r.normal(size=(1, 1, 1, 6)), r.uniform(0.5, 2.0, size=(1, 1, 1, 6))
+    out = batch_norm(x, gamma, beta, BatchNormState(rm, rv), training=False)
+    ref = (x - Tensor(rm)) * Tensor(1.0 / np.sqrt(rv + 1e-5)) * gamma + beta
+    assert (out.data == ref.data).all()
+    g = r.normal(size=x.shape)
+    (out * Tensor(g)).sum().backward()
+    got = x.grad
+    x.zero_grad()
+    (ref * Tensor(g)).sum().backward()
+    assert (got == x.grad).all()
 
 
 def test_grad_check_dropout_fixed_mask():

@@ -353,6 +353,19 @@ def test_train_variate_sampling_counts():
     assert report.variate_ratio == 0.5
 
 
+def test_train_on_a_variate_subset_then_evaluate_on_all_variates():
+    # batch norm keeps one statistic per feature, never per variate, so a
+    # model trained on 2 of 4 variates per batch evaluates on all 4
+    cfg, params, datasets = tiny_setup(seed=16)
+    hyper = TrainHyper(lr=1e-3, batch_size=32, max_epochs=2, variate_ratio=0.5, seed=16)
+    report = train(params, cfg, datasets, hyper)
+    for layer in params.layers:
+        for state in (layer.norm1_state, layer.norm2_state):
+            assert state.running_mean.shape == state.running_var.shape == (1, 1, 1, cfg.D)
+    test_mse, _ = evaluate(params, cfg, datasets[2], batch_size=32)
+    assert np.isfinite(test_mse) and test_mse == report.test_mse
+
+
 def test_train_split_too_short():
     from gridcast.data import TimeSeriesDataset
     from gridcast.errors import DataError
