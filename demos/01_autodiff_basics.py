@@ -45,4 +45,4 @@ print(f"finite-difference max relative error: {err:.2e}")
 # no_grad() turns the machinery off for cheap inference passes.
 with no_grad():
     silent = (A @ B).sum()
-print("built under no_grad, has no graph:", not silent._parents)
+print("built under no_grad, has no graph:", not silent.requires_grad)

@@ -86,10 +86,6 @@ class AttentionParams:
             norm2_beta=Tensor(np.zeros(D), requires_grad=True),
         )
 
-    @property
-    def heads(self) -> int:
-        return self.w_query.shape[0]
-
     def named(self, prefix: str = "") -> list:
         return [
             (prefix + name, getattr(self, name))

@@ -27,7 +27,7 @@ from gridcast.attention import (
     xavier_uniform,
 )
 from gridcast.embed import embed_grid, pad_tail, patch_count, revin_denormalize, revin_normalize
-from gridcast.errors import ConfigError, ShapeError
+from gridcast.errors import ConfigError, NumericError, ShapeError
 from gridcast.tensor import Tensor
 
 CHECKPOINT_MAGIC = "gridcast-checkpoint-1"
@@ -131,7 +131,7 @@ def forward(
     if T != config.T:
         raise ShapeError(f"input lookback {T} does not match config T={config.T}")
     if not np.isfinite(x).all():
-        raise ShapeError("input contains non-finite values")
+        raise NumericError("input contains non-finite values")
 
     xn, stats = revin_normalize(x)
     padded = pad_tail(xn, config.P, config.S)

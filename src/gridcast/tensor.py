@@ -126,12 +126,6 @@ class Tensor:
     def _vjp(self, vjp) -> None:
         self._node.vjp = vjp
 
-    @property
-    def _parents(self) -> tuple:
-        """Nodes of the parents of the op that made this tensor; empty for a
-        leaf and for a tensor built without a graph."""
-        return () if self._node is None else self._node.parents
-
     def _grad_node(self) -> _Node:
         """This tensor's node, created on first use for a requires_grad leaf,
         so each leaf has exactly one node however often it is used."""
@@ -198,9 +192,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-Tensor._coerce(other))
 
-    def __rsub__(self, other):
-        return Tensor._coerce(other) + (-self)
-
     def __mul__(self, other):
         other = Tensor._coerce(other)
         a, b = self.data, other.data
@@ -212,21 +203,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = Tensor._coerce(other)
-        a, b = self.data, other.data
-
-        def vjp(g):
-            return (
-                _unbroadcast(g / b, a.shape),
-                _unbroadcast(-g * a / (b * b), b.shape),
-            )
-
-        return Tensor._make(a / b, (self, other), vjp)
-
-    def __rtruediv__(self, other):
-        return Tensor._coerce(other) / self
-
     def __pow__(self, exponent):
         if isinstance(exponent, Tensor):
             raise ShapeError("power supports scalar exponents only")
@@ -237,10 +213,6 @@ class Tensor:
             return (g * p * a ** (p - 1.0),)
 
         return Tensor._make(a**p, (self,), vjp)
-
-    def abs(self) -> "Tensor":
-        a = self.data
-        return Tensor._make(np.abs(a), (self,), lambda g: (g * np.sign(a),))
 
     # -- matrix product ------------------------------------------------------
 
@@ -263,16 +235,12 @@ class Tensor:
 
     # -- reductions ----------------------------------------------------------
 
-    @staticmethod
-    def _norm_axes(axis, ndim):
-        if axis is None:
-            return tuple(range(ndim))
-        if isinstance(axis, int):
-            axis = (axis,)
-        return tuple(a % ndim for a in axis)
-
     def sum(self, axis=None, keepdims=False) -> "Tensor":
-        axes = Tensor._norm_axes(axis, self.ndim)
+        if axis is None:
+            axis = range(self.ndim)
+        elif isinstance(axis, int):
+            axis = (axis,)
+        axes = tuple(a % self.ndim for a in axis)
         shape = self.shape
         out_data = self.data.sum(axis=axes, keepdims=keepdims)
 
@@ -282,11 +250,6 @@ class Tensor:
             return (np.broadcast_to(g, shape).copy(),)
 
         return Tensor._make(out_data, (self,), vjp)
-
-    def mean(self, axis=None, keepdims=False) -> "Tensor":
-        axes = Tensor._norm_axes(axis, self.ndim)
-        count = math.prod(self.shape[a] for a in axes)
-        return self.sum(axis=axes, keepdims=keepdims) * (1.0 / count)
 
     # -- shape manipulation --------------------------------------------------
 

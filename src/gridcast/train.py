@@ -29,24 +29,23 @@ from gridcast.model import ModelConfig, ModelParams, forward, load_state_arrays,
 from gridcast.tensor import Tensor, no_grad
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def mse(pred, target) -> Tensor:
-    """Mean over every element of the squared error; scalar Tensor."""
-    pred, target = _as_tensor(pred), _as_tensor(target)
+    """Mean over every element of the squared error; a scalar Tensor made by
+    one graph node, with the vjp 2 (pred - target) / n."""
+    pred, target = Tensor._coerce(pred), Tensor._coerce(target)
     if pred.shape != target.shape:
         raise ShapeError(f"mse shape mismatch: {pred.shape} vs {target.shape}")
-    return ((pred - target) ** 2).mean()
+    diff = pred.data - target.data
+    scale = 1.0 / diff.size
 
+    def vjp(g):
+        # C order whatever diff's layout (forward's pred is a transposed
+        # view): the layout of this gradient sets the order in which every
+        # einsum sum downstream adds
+        gd = np.multiply(g * scale * 2.0, diff, order="C")
+        return gd, -gd
 
-def mae(pred, target) -> Tensor:
-    """Mean over every element of the absolute error; scalar Tensor."""
-    pred, target = _as_tensor(pred), _as_tensor(target)
-    if pred.shape != target.shape:
-        raise ShapeError(f"mae shape mismatch: {pred.shape} vs {target.shape}")
-    return (pred - target).abs().mean()
+    return Tensor._make(np.square(diff).sum() * scale, (pred, target), vjp)
 
 
 ADAM_BETAS = (0.9, 0.999)
@@ -175,6 +174,9 @@ class TrainHyper:
             raise ConfigError(f"train.batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:  # zero would report an untrained model
             raise ConfigError(f"train.max_epochs must be >= 1, got {self.max_epochs}")
+        # the loop stops once stale >= patience, so any value below 1 acts as 1
+        if self.patience < 1:
+            raise ConfigError(f"train.patience must be >= 1, got {self.patience}")
         # clip_gradients scales by clip_norm / norm: a negative value would
         # flip every gradient and zero would erase it
         if not self.clip_norm > 0:

@@ -5,13 +5,19 @@ explicit Python loops over variates, patch steps, tokens, and heads, so they
 share no code path with the library they check. They are inference-mode only
 (norm layers use running statistics, which default to zero mean / unit
 variance). The graph references at the end are the composite or unblocked
-forms of the fused and blocked ops, built from the library's Tensor ops.
+forms of the fused and blocked ops, built from the library's Tensor ops, and
+``OP_CASES`` is the one table of finite-difference checks, a case per
+differentiable op.
 """
+
+import zlib
 
 import numpy as np
 
+from gridcast.attention import project_heads
 from gridcast.errors import ShapeError
-from gridcast.tensor import Tensor
+from gridcast.tensor import BatchNormState, Tensor, batch_norm, dropout
+from gridcast.train import mse
 
 
 def np_gelu(x):
@@ -124,12 +130,17 @@ def mse_oracle(a, b):
     return total / count
 
 
-def mae_oracle(a, b):
-    total, count = 0.0, 0
-    for idx in np.ndindex(*a.shape):
-        total += abs(a[idx] - b[idx])
-        count += 1
-    return total / count
+def mean(t, axis=None, keepdims=False):
+    """Mean of a Tensor over ``axis`` (every axis when None), as the sum
+    times the reciprocal of the number of summed elements."""
+    total = t.sum(axis=axis, keepdims=keepdims)
+    return total * (1.0 / (t.size // total.size))
+
+
+def mse_composite(pred, target):
+    """Mean squared error composed of Tensor ops; the reference for the
+    single-node ``train.mse``, whose forward arithmetic it shares."""
+    return mean((pred - target) ** 2)
 
 
 def scaled_dot_attention(Q, K, V):
@@ -146,9 +157,9 @@ def batch_norm_composite(x, gamma, beta, eps=1e-5):
     """Training-mode batch norm as a graph of primitive ops; the reference
     for the single-node ``batch_norm``, whose forward arithmetic it shares."""
     axes = tuple(range(x.ndim - 1))
-    mu = x.mean(axis=axes, keepdims=True)
+    mu = mean(x, axis=axes, keepdims=True)
     centered = x - mu
-    var = (centered * centered).mean(axis=axes, keepdims=True)
+    var = mean(centered * centered, axis=axes, keepdims=True)
     x_hat = centered * (var + eps) ** -0.5
     return x_hat * gamma + beta
 
@@ -173,3 +184,54 @@ def softmax_three_temporaries(x, axis=-1):
         return (back(s_rows * (g_rows - np.einsum("ij,ij->i", g_rows, s_rows)[:, None])),)
 
     return Tensor._make(back(s_rows), (x,), vjp)
+
+
+# -- finite-difference cases -------------------------------------------------
+
+
+# (name, f, input shapes): f maps the input Tensors to a scalar. Every
+# function of the package that makes a graph node is run by at least one
+# case; tests/test_tensor.py checks that.
+OP_CASES = [
+    ("add", lambda ts: (ts[0] + ts[1]).sum(), [(3, 4), (3, 4)]),
+    ("add_broadcast", lambda ts: ((ts[0] + ts[1]) * (ts[0] + ts[1])).sum(), [(3, 4), (4,)]),
+    ("sub", lambda ts: ((ts[0] - ts[1]) ** 2).sum(), [(4,), (4,)]),
+    ("mul", lambda ts: (ts[0] * ts[1]).sum(), [(2, 3), (2, 3)]),
+    ("mse", lambda ts: mse(ts[0], ts[1]), [(3, 2, 4), (3, 2, 4)]),
+    ("pow", lambda ts: ((ts[0] * ts[0] + 1.0) ** 1.5).sum(), [(6,)]),
+    (
+        "rows",  # two overlapping slices of one tensor, so its gradient sums both
+        lambda ts: (ts[0].rows(1, 4) * ts[1]).sum() + (ts[0].rows(0, 2) ** 2).sum(),
+        [(5, 3), (3, 3)],
+    ),
+    ("matmul", lambda ts: ((ts[0] @ ts[1]) ** 2).sum(), [(3, 4), (4, 2)]),
+    ("matmul_batched", lambda ts: ((ts[0] @ ts[1]) ** 2).sum(), [(2, 3, 4), (4, 2)]),
+    (
+        "concat_rows",
+        lambda ts: (Tensor.concat_rows([ts[0], ts[1]]) ** 2 * ts[2]).sum(),
+        [(2, 3), (1, 3), (3, 3)],
+    ),
+    ("reshape", lambda ts: (ts[0].reshape(6) * ts[0].reshape(6)).sum(), [(2, 3)]),
+    ("permute", lambda ts: ((ts[0].permute(1, 0) @ ts[1]) ** 2).sum(), [(3, 4), (3, 2)]),
+    ("gelu", lambda ts: ts[0].gelu().sum(), [(8,)]),
+    ("softmax_weighted", lambda ts: (ts[0].softmax(axis=-1) * ts[1]).sum(), [(3, 5), (3, 5)]),
+    ("sum_axis", lambda ts: (ts[0].sum(axis=1) ** 2).sum(), [(3, 5)]),
+    (
+        "batch_norm_training",
+        lambda ts: (batch_norm(ts[0], ts[1], ts[2], BatchNormState(), training=True) ** 2).sum(),
+        [(4, 3), (3,), (3,)],
+    ),
+    (
+        "dropout_fixed_mask",
+        lambda ts: dropout(ts[0], 0.3, np.random.default_rng(99), training=True).sum(),
+        [(10,)],
+    ),
+    ("project_heads", lambda ts: (project_heads(ts[0], ts[1]) ** 2).sum(), [(2, 3, 4), (2, 4, 3)]),
+]
+
+
+def op_case_inputs(name, shapes):
+    """Standard-normal input Tensors for the case ``name``, seeded by the
+    name so every run checks the same points."""
+    r = np.random.default_rng(zlib.crc32(name.encode()))
+    return [Tensor(r.normal(size=s)) for s in shapes]

@@ -24,7 +24,7 @@ from gridcast.data import (
 )
 from gridcast.embed import pad_tail, patch_count, revin_denormalize, revin_normalize
 from gridcast.model import ModelConfig, build, forward
-from gridcast.tensor import BatchNormState, Tensor, batch_norm, dropout, grad_check
+from gridcast.tensor import Tensor, grad_check
 from gridcast.train import TrainHyper, mse, persistence_baseline, train
 
 
@@ -40,42 +40,11 @@ def rng(seed):
 # -- 1: finite-difference gradients ------------------------------------------
 
 
-OP_CASES = [
-    ("add", lambda ts: (ts[0] + ts[1]).sum(), [(3, 4), (3, 4)]),
-    ("add_broadcast", lambda ts: ((ts[0] + ts[1]) * (ts[0] + ts[1])).sum(), [(3, 4), (4,)]),
-    ("sub", lambda ts: ((ts[0] - ts[1]) ** 2).sum(), [(4,), (4,)]),
-    ("mul", lambda ts: (ts[0] * ts[1]).sum(), [(2, 3), (2, 3)]),
-    ("div", lambda ts: (ts[0] / (ts[1] * ts[1] + 1.0)).sum(), [(5,), (5,)]),
-    ("pow", lambda ts: ((ts[0] * ts[0] + 1.0) ** 1.5).sum(), [(6,)]),
-    ("abs", lambda ts: (ts[0].abs() * ts[1]).sum(), [(7,), (7,)]),
-    ("matmul", lambda ts: ((ts[0] @ ts[1]) ** 2).sum(), [(3, 4), (4, 2)]),
-    ("matmul_batched", lambda ts: ((ts[0] @ ts[1]) ** 2).sum(), [(2, 3, 4), (4, 2)]),
-    ("sum_axis", lambda ts: (ts[0].sum(axis=1) ** 2).sum(), [(3, 5)]),
-    ("mean", lambda ts: (ts[0].mean(axis=0) ** 2).sum(), [(4, 3)]),
-    ("reshape", lambda ts: (ts[0].reshape(6) * ts[0].reshape(6)).sum(), [(2, 3)]),
-    ("permute", lambda ts: ((ts[0].permute(1, 0) @ ts[1]) ** 2).sum(), [(3, 4), (3, 2)]),
-    ("gelu", lambda ts: ts[0].gelu().sum(), [(8,)]),
-    ("softmax", lambda ts: (ts[0].softmax(axis=-1) * ts[1]).sum(), [(3, 5), (3, 5)]),
-    (
-        "batch_norm_training",
-        lambda ts: (batch_norm(ts[0], ts[1], ts[2], BatchNormState(), training=True) ** 2).sum(),
-        [(4, 3), (3,), (3,)],
-    ),
-    (
-        "dropout_fixed_mask",
-        lambda ts: dropout(ts[0], 0.3, rng(99), training=True).sum(),
-        [(10,)],
-    ),
-]
-
-
 def test_01_gradient_suite_ops_and_full_model():
     t0 = time.monotonic()
     worst = 0.0
-    for name, fn, shapes in OP_CASES:
-        r = rng(abs(hash(name)) % 2**32)
-        err = grad_check(fn, [Tensor(r.normal(size=s)) for s in shapes])
-        worst = max(worst, err)
+    for name, fn, shapes in oracles.OP_CASES:
+        worst = max(worst, grad_check(fn, oracles.op_case_inputs(name, shapes)))
 
     # full model: 2-variate 32-step window through both encoder layers, loss
     # checked against central differences for every parameter coordinate
@@ -95,7 +64,7 @@ def test_01_gradient_suite_ops_and_full_model():
     elapsed = time.monotonic() - t0
     report_line(
         1,
-        f"finite differences: max rel err {worst:.2e} < 1e-3 over {len(OP_CASES)} ops "
+        f"finite differences: max rel err {worst:.2e} < 1e-3 over {len(oracles.OP_CASES)} ops "
         f"+ full model ({sum(t.data.size for t in tensors)} params), {elapsed:.1f}s < 120s",
         worst < 1e-3 and elapsed < 120.0,
     )

@@ -493,6 +493,7 @@ def test_lookback_sweep_rejects_short_length(workspace, tmp_path, capsys):
         (["lookback-sweep", "--lengths", "24,4"], "shorter than patch length"),
         (["lookback-sweep", "--lengths", "24", "--set", "model.H=3"], "H=3"),
         (["train", "--set", "model.norm_over=batch_and_tokens"], "unknown config key"),
+        (["train", "--set", "train.patience=0"], "train.patience"),
     ],
 )
 def test_malformed_setting_is_one_line_usage_error(argv, named, workspace, tmp_path, capsys):

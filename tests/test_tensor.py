@@ -1,5 +1,9 @@
 import gc
+import importlib
+import inspect
 import math
+import pkgutil
+import sys
 import tracemalloc
 import weakref
 
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridcast
 import oracles
 from gridcast.attention import project_heads
 from gridcast.errors import NumericError, ShapeError
@@ -513,7 +518,7 @@ def test_no_grad_blocks_graph():
     with no_grad():
         y = (x * 2).sum()
     assert not y.requires_grad
-    assert y._parents == ()
+    assert y._node is None
 
 
 # -- dropout -----------------------------------------------------------------
@@ -547,33 +552,45 @@ def test_grad_check_softmax_sum_constant():
     assert err < 1e-6
 
 
-@pytest.mark.parametrize(
-    "name,fn,shapes",
-    [
-        ("add", lambda ts: (ts[0] + ts[1]).sum(), [(3, 4), (3, 4)]),
-        ("add_broadcast", lambda ts: ((ts[0] + ts[1]) * (ts[0] + ts[1])).sum(), [(3, 4), (4,)]),
-        ("sub", lambda ts: ((ts[0] - ts[1]) ** 2).sum(), [(4,), (4,)]),
-        ("mul", lambda ts: (ts[0] * ts[1]).sum(), [(2, 3), (2, 3)]),
-        ("div", lambda ts: (ts[0] / (ts[1] * ts[1] + 1.0)).sum(), [(5,), (5,)]),
-        ("pow", lambda ts: ((ts[0] * ts[0] + 1.0) ** 1.5).sum(), [(6,)]),
-        ("abs", lambda ts: (ts[0].abs() * ts[1]).sum(), [(7,), (7,)]),
-        ("matmul", lambda ts: ((ts[0] @ ts[1]) ** 2).sum(), [(3, 4), (4, 2)]),
-        ("matmul_batched", lambda ts: ((ts[0] @ ts[1]) ** 2).sum(), [(2, 3, 4), (4, 2)]),
-        ("mean", lambda ts: (ts[0].mean(axis=0) ** 2).sum(), [(4, 3)]),
-        ("reshape", lambda ts: (ts[0].reshape(6) * ts[0].reshape(6)).sum(), [(2, 3)]),
-        ("permute", lambda ts: ((ts[0].permute(1, 0) @ ts[1]) ** 2).sum(), [(3, 4), (3, 2)]),
-        ("gelu", lambda ts: ts[0].gelu().sum(), [(8,)]),
-        (
-            "softmax_weighted",
-            lambda ts: (ts[0].softmax(axis=-1) * ts[1]).sum(),
-            [(3, 5), (3, 5)],
-        ),
-    ],
-)
+@pytest.mark.parametrize("name,fn,shapes", oracles.OP_CASES)
 def test_grad_check_ops(name, fn, shapes):
-    r = rng(hash(name) % 2**32)
-    inputs = [Tensor(r.normal(size=s)) for s in shapes]
-    assert grad_check(fn, inputs) < 1e-3
+    assert grad_check(fn, oracles.op_case_inputs(name, shapes)) < 1e-3
+
+
+def _node_makers() -> set:
+    """Qualified names of the package's functions and methods whose source
+    calls ``Tensor._make``."""
+    found = set()
+    for info in pkgutil.iter_modules(gridcast.__path__):
+        module = importlib.import_module(f"gridcast.{info.name}")
+        owners = [module] + [
+            cls for _, cls in inspect.getmembers(module, inspect.isclass)
+            if cls.__module__ == module.__name__
+        ]
+        for owner in owners:
+            for _, fn in inspect.getmembers(owner, inspect.isfunction):
+                # dataclass-generated methods have no source file
+                if fn.__code__.co_filename != module.__file__:
+                    continue
+                if "_make(" in inspect.getsource(fn):
+                    found.add(fn.__qualname__)
+    return found
+
+
+def test_every_graph_op_has_a_grad_check_case(monkeypatch):
+    made_by = set()
+    make = Tensor.__dict__["_make"].__func__
+
+    def recording_make(cls, data, parents, vjp):
+        made_by.add(sys._getframe(1).f_code.co_qualname)
+        return make(cls, data, parents, vjp)
+
+    monkeypatch.setattr(Tensor, "_make", classmethod(recording_make))
+    for name, fn, shapes in oracles.OP_CASES:
+        fn(oracles.op_case_inputs(name, shapes))
+    makers = _node_makers()
+    assert {"Tensor.__add__", "Tensor.softmax", "batch_norm", "mse"} <= makers  # the scan works
+    assert makers - made_by == set(), "graph ops with no case in oracles.OP_CASES"
 
 
 def test_grad_check_batch_norm_training():

@@ -17,7 +17,6 @@ from gridcast.train import (
     adam_step,
     clip_gradients,
     evaluate,
-    mae,
     mse,
     persistence_baseline,
     sample_variates,
@@ -42,23 +41,15 @@ def test_mse_unit_offset():
     assert abs(mse(Tensor(x + 1.0), x).item() - 1.0) < 1e-12
 
 
-def test_mae_two_offset():
-    x = rng(3).normal(size=(4, 5))
-    assert abs(mae(Tensor(x + 2.0), x).item() - 2.0) < 1e-12
-
-
 def test_losses_match_loop_oracle():
     a = rng(4).normal(size=(2, 3, 2))
     b = rng(5).normal(size=(2, 3, 2))
     assert abs(mse(Tensor(a), b).item() - oracles.mse_oracle(a, b)) < 1e-12
-    assert abs(mae(Tensor(a), b).item() - oracles.mae_oracle(a, b)) < 1e-12
 
 
 def test_losses_shape_mismatch():
     with pytest.raises(ShapeError):
         mse(Tensor(np.zeros((2, 3))), np.zeros((3, 2)))
-    with pytest.raises(ShapeError):
-        mae(Tensor(np.zeros(3)), np.zeros(4))
 
 
 def test_mse_gradient():
@@ -66,6 +57,40 @@ def test_mse_gradient():
     target = rng(7).normal(size=(4,))
     mse(pred, target).backward()
     np.testing.assert_allclose(pred.grad, 2.0 * (pred.data - target) / 4.0)
+
+
+def test_mse_node_matches_composite_bit_for_bit_in_c_order():
+    # forward's prediction is a [B, F, N] view of a [B, N, F] array, and
+    # train() takes the target's variate subset by fancy indexing
+    r = rng(8)
+    B, F, N, k = 6, 24, 21, 17
+    pred_data = r.normal(size=(B, k, F)).transpose(0, 2, 1)
+    target = r.normal(size=(B, F, N))[:, :, np.sort(r.choice(N, size=k, replace=False))]
+    node_pred = Tensor(pred_data, requires_grad=True)
+    composite_pred = Tensor(pred_data, requires_grad=True)
+    loss = mse(node_pred, target)
+    reference = oracles.mse_composite(composite_pred, target)
+    loss.backward()
+    reference.backward()
+    assert loss.data.tobytes() == reference.data.tobytes()
+    assert node_pred.grad.tobytes() == composite_pred.grad.tobytes()
+    # the gradient's layout sets the sum order of every op downstream
+    assert node_pred.grad.flags.c_contiguous and composite_pred.grad.flags.c_contiguous
+
+
+def test_mse_node_keeps_model_gradients_bit_for_bit():
+    cfg, params, (tr, _, _) = tiny_setup(seed=9, N=6)
+    x = tr.values[None, : cfg.T + cfg.F].repeat(3, axis=0) + rng(9).normal(size=(3, 1, 6))
+    sub = np.array([0, 2, 3, 5])
+    inputs, targets = x[:, : cfg.T, sub], x[:, cfg.T :, sub]
+    grads = []
+    for loss_fn in (mse, oracles.mse_composite):
+        for _, t in params.named_parameters():
+            t.zero_grad()
+        pred, _ = forward(inputs, params, cfg, training=True)
+        loss_fn(pred, targets).backward()
+        grads.append([t.grad.tobytes() for _, t in params.named_parameters()])
+    assert grads[0] == grads[1]
 
 
 # -- adam --------------------------------------------------------------------
@@ -380,7 +405,7 @@ def test_train_split_too_short():
     "setting",
     [
         {"batch_size": 0}, {"batch_size": -1}, {"clip_norm": -1.0}, {"lr": -1e-3}, {"max_epochs": 0},
-        {"variate_ratio": 0.0}, {"variate_ratio": 1.5},
+        {"variate_ratio": 0.0}, {"variate_ratio": 1.5}, {"patience": 0}, {"patience": -3},
     ],
 )
 def test_train_hyper_rejects_bad_settings(setting):
