@@ -33,7 +33,7 @@ padded = pad_tail(xn, P, S)
 M = patch_count(T, P, S)
 print(f"T={T}, P={P}, S={S}: padded to {padded.shape[1]} steps, M={M} patches per variate")
 
-cfg = ModelConfig(T=T, F=24, N=N, P=P, S=S, D=D, H=4, L=2, D_ff=32, dropout=0.0)
+cfg = ModelConfig(T=T, F=24, P=P, S=S, D=D, H=4, L=2, D_ff=32, dropout=0.0)
 params = build(cfg)
 
 # The embedded grid is [batch, M, N, D].

@@ -15,7 +15,7 @@ ds = synthetic_sines(4000, n_variates=4, period=48, noise=0.1, seed=0)
 train_ds, val_ds, test_ds = chronological_split(ds, SplitSpec(6, 2, 2))
 train_ds, val_ds, test_ds, _ = standardize(train_ds, val_ds, test_ds)
 
-cfg = ModelConfig(T=96, F=24, N=4, P=16, S=8, D=16, H=4, L=2, D_ff=32, dropout=0.0, seed=0)
+cfg = ModelConfig(T=96, F=24, P=16, S=8, D=16, H=4, L=2, D_ff=32, dropout=0.0, seed=0)
 params = build(cfg)
 print(f"model: {params.parameter_count()} parameters, layer order {params.directions}")
 

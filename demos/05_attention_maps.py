@@ -19,7 +19,7 @@ from gridcast.model import ModelConfig, build, export_attention, forward
 ds = synthetic_sines(200, n_variates=3, period=48, noise=0.0, seed=5)
 window = ds.values[:96][None]  # [1, T, N]
 
-cfg = ModelConfig(T=96, F=24, N=3, P=16, S=8, D=16, H=4, L=2, D_ff=32, dropout=0.0, seed=2)
+cfg = ModelConfig(T=96, F=24, P=16, S=8, D=16, H=4, L=2, D_ff=32, dropout=0.0, seed=2)
 params = build(cfg)
 
 pred, maps = forward(window, params, cfg, capture_attention=True)

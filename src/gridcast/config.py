@@ -35,9 +35,8 @@ class RunConfig:
 
     Attribute ``data_rest`` maps to file key ``data.rest`` and ``out_dir`` to
     ``out.dir``; ``model`` and ``train`` are dicts keyed by field name; the
-    lone top-level key is ``seed``. The CLI's own model defaults are T=96,
-    F=24 and N=0, where ``model.N = 0`` means infer the variate count from
-    the dataset.
+    lone top-level key is ``seed``. The CLI's own model defaults are T=96
+    and F=24.
     """
 
     data_path: str = ""
@@ -46,23 +45,13 @@ class RunConfig:
     data_drop_columns: str = ""  # comma-separated names or indices
     data_value_columns: str = ""
     data_borrow_prefix: bool = False
-    model: dict = field(default_factory=lambda: _defaults("model", T=96, F=24, N=0))
+    model: dict = field(default_factory=lambda: _defaults("model", T=96, F=24))
     train: dict = field(default_factory=lambda: _defaults("train"))
     out_dir: str = "runs"
     seed: int = 0
 
-    def to_model_config(self, n_variates: Optional[int] = None) -> ModelConfig:
-        """The model config, N taken from ``n_variates`` when given; a nonzero
-        ``model.N`` must then equal it, so a stated width is never ignored."""
-        N = self.model["N"]
-        if n_variates:
-            if N and N != n_variates:
-                raise ConfigError(
-                    f"model.N = {N} but the data has {n_variates} variates; "
-                    "set model.N = 0 to take the width from the data"
-                )
-            N = n_variates
-        return ModelConfig(**{**self.model, "N": N, "seed": self.seed})
+    def to_model_config(self) -> ModelConfig:
+        return ModelConfig(**self.model, seed=self.seed)
 
     def to_hyper(self, log_path: Optional[str] = None) -> TrainHyper:
         return TrainHyper(**self.train, seed=self.seed, log_path=log_path)

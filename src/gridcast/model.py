@@ -33,13 +33,16 @@ from gridcast.tensor import Tensor
 CHECKPOINT_MAGIC = "gridcast-checkpoint-1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ModelConfig:
-    """Architecture and window geometry for one forecasting model."""
+    """Architecture and window geometry for one forecasting model.
+
+    The variate count is the data's: every parameter is shared across
+    variates, so one model forecasts windows of any width.
+    """
 
     T: int  # lookback length
     F: int  # forecast horizon
-    N: int  # variates
     P: int = 16  # patch length
     S: int = 8  # patch stride
     D: int = 16  # model width
@@ -51,7 +54,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("T", "F", "N", "P", "S", "D", "H", "L", "D_ff"):
+        for name in ("T", "F", "P", "S", "D", "H", "L", "D_ff"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.T < self.P:
@@ -119,10 +122,10 @@ def forward(
 ) -> tuple:
     """Predict [B x F x N] from a lookback batch [B x T x N].
 
-    The variate axis may be narrower than config.N (training-time variate
-    subsets); every parameter is shared across variates so the model is
-    width-agnostic there. Returns (prediction Tensor, attention maps or None);
-    maps are head- and batch-averaged, one per layer in application order.
+    N may be any width, such as a training-time variate subset or a dataset
+    other than the training one: every parameter is shared across variates.
+    Returns (prediction Tensor, attention maps or None); maps are head- and
+    batch-averaged, one per layer in application order.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
@@ -285,8 +288,10 @@ def load_checkpoint(path) -> tuple:
             raise ConfigError(f"{path} is not a {CHECKPOINT_MAGIC} file")
         try:
             stored = json.loads(str(archive["__config__"][()]))
-            # older checkpoints store norm_over; its default is the only policy left
+            # older checkpoints store norm_over, whose default is the only policy
+            # left, and the training width N, which the model never read
             norm_over = stored.pop("norm_over", "batch_and_tokens")
+            stored.pop("N", None)
             config = ModelConfig(**stored)
         except (KeyError, TypeError, AttributeError, ValueError, zipfile.BadZipFile) as exc:
             raise ConfigError(f"checkpoint {path} has no valid model config: {exc}") from exc

@@ -1,8 +1,8 @@
 """Acceptance gate: one test per release criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
-happen. Criteria 1-7 are self-contained; criterion 8 needs a real benchmark
-CSV and is skipped unless GRIDCAST_ETTH1 points at one.
+happen. Criteria 1-7 and 9 are self-contained; criterion 8 needs a real
+benchmark CSV and is skipped unless GRIDCAST_ETTH1 points at one.
 """
 
 import math
@@ -25,7 +25,7 @@ from gridcast.data import (
 from gridcast.embed import pad_tail, patch_count, revin_denormalize, revin_normalize
 from gridcast.model import ModelConfig, build, forward
 from gridcast.tensor import Tensor, grad_check
-from gridcast.train import TrainHyper, mse, persistence_baseline, train
+from gridcast.train import TrainHyper, evaluate, mse, persistence_baseline, train
 
 
 def report_line(number, description, ok):
@@ -48,7 +48,7 @@ def test_01_gradient_suite_ops_and_full_model():
 
     # full model: 2-variate 32-step window through both encoder layers, loss
     # checked against central differences for every parameter coordinate
-    cfg = ModelConfig(T=32, F=8, N=2, P=8, S=4, D=8, H=2, L=2, D_ff=16, dropout=0.0, seed=0)
+    cfg = ModelConfig(T=32, F=8, P=8, S=4, D=8, H=2, L=2, D_ff=16, dropout=0.0, seed=0)
     params = build(cfg)
     tensors = [t for _, t in params.named_parameters()]
     r = rng(20)
@@ -78,7 +78,7 @@ def test_02_attention_rows_sum_to_one():
     forwards = 0
     for mode in ("alternate", "channel_first", "time_first"):
         cfg = ModelConfig(
-            T=32, F=8, N=3, P=8, S=4, D=8, H=2, L=2, D_ff=16, dropout=0.0, mode=mode, seed=1
+            T=32, F=8, P=8, S=4, D=8, H=2, L=2, D_ff=16, dropout=0.0, mode=mode, seed=1
         )
         params = build(cfg)
         r = rng(2)
@@ -107,7 +107,7 @@ def test_03_structural_oracles():
     via_transpose = grid_transpose(apply_horizontal(grid_transpose(grid), p))
     exact = bool((via_vertical.data == via_transpose.data).all())
 
-    cfg = ModelConfig(T=32, F=8, N=3, P=8, S=4, D=8, H=2, L=2, D_ff=16, dropout=0.0, seed=4)
+    cfg = ModelConfig(T=32, F=8, P=8, S=4, D=8, H=2, L=2, D_ff=16, dropout=0.0, seed=4)
     params = build(cfg)
     x = r.normal(size=(2, 32, 3)) * 2.0 + 1.0
     pred, _ = forward(x, params, cfg)
@@ -190,10 +190,10 @@ def test_05_complexity_counts():
     )
 
 
-# -- 6 and 7: training behaviour on synthetic data ---------------------------
+# -- 6, 7 and 9: training behaviour on synthetic data ------------------------
 
 
-SMOKE_CFG = ModelConfig(T=96, F=24, N=4, P=16, S=8, D=16, H=4, L=2, D_ff=32, dropout=0.0, seed=0)
+SMOKE_CFG = ModelConfig(T=96, F=24, P=16, S=8, D=16, H=4, L=2, D_ff=32, dropout=0.0, seed=0)
 
 
 def smoke_hyper(ratio):
@@ -209,11 +209,15 @@ def smoke_runs():
     p_mse, _ = persistence_baseline(te, SMOKE_CFG.T, SMOKE_CFG.F)
 
     t0 = time.monotonic()
-    full = train(build(SMOKE_CFG), SMOKE_CFG, splits, smoke_hyper(1.0))
+    full_params = build(SMOKE_CFG)
+    full = train(full_params, SMOKE_CFG, splits, smoke_hyper(1.0))
     full_wall = time.monotonic() - t0
     rerun = train(build(SMOKE_CFG), SMOKE_CFG, splits, smoke_hyper(1.0))
     half = train(build(SMOKE_CFG), SMOKE_CFG, splits, smoke_hyper(0.5))
-    return {"persistence": p_mse, "full": full, "full_wall": full_wall, "rerun": rerun, "half": half}
+    return {
+        "persistence": p_mse, "full": full, "full_params": full_params,
+        "full_wall": full_wall, "rerun": rerun, "half": half,
+    }
 
 
 def test_06_learning_smoke_beats_persistence(smoke_runs):
@@ -247,6 +251,26 @@ def test_07_variate_sampling_stability(smoke_runs):
     )
 
 
+def test_09_trained_model_forecasts_other_variate_counts(smoke_runs):
+    # the 4-variate model, unchanged, on series of the same period but another
+    # width and draw; every parameter is shared across variates
+    gains = {}
+    for n_variates in (2, 7):
+        ds = synthetic_sines(10_000, n_variates=n_variates, period=48, noise=0.1, seed=3)
+        tr, va, te = chronological_split(ds, SplitSpec(6, 2, 2))
+        te = standardize(tr, va, te)[2]
+        p_mse, _ = persistence_baseline(te, SMOKE_CFG.T, SMOKE_CFG.F)
+        test_mse, _ = evaluate(smoke_runs["full_params"], SMOKE_CFG, te)
+        gains[n_variates] = 1.0 - test_mse / p_mse
+    report_line(
+        9,
+        "cross-variate forecasts: the model trained on 4 variates beats persistence by "
+        + ", ".join(f"{gain:.0%} on {n}" for n, gain in gains.items())
+        + " variates (need >=30%)",
+        min(gains.values()) >= 0.30,
+    )
+
+
 # -- 8: extended benchmark run (opt-in) --------------------------------------
 
 
@@ -259,7 +283,7 @@ def test_08_extended_benchmark_run():
     tr, va, te = chronological_split(ds, SplitSpec(6, 2, 2))
     tr, va, te, _ = standardize(tr, va, te)
     cfg = ModelConfig(
-        T=336, F=96, N=ds.channels, P=16, S=8, D=64, H=8, L=3, D_ff=128, dropout=0.0, seed=0
+        T=336, F=96, P=16, S=8, D=64, H=8, L=3, D_ff=128, dropout=0.0, seed=0
     )
     hyper = TrainHyper(lr=1e-3, batch_size=64, max_epochs=4, patience=2, seed=0)
     t0 = time.monotonic()

@@ -312,7 +312,7 @@ def test_one_block_builds_the_unblocked_graph():
 
 
 def test_blocked_forward_captures_one_map_per_layer(monkeypatch):
-    cfg = ModelConfig(T=32, F=8, N=3, P=8, S=4, D=8, H=2, L=2, D_ff=16, dropout=0.0, seed=5)
+    cfg = ModelConfig(T=32, F=8, P=8, S=4, D=8, H=2, L=2, D_ff=16, dropout=0.0, seed=5)
     params = build(cfg)
     x = rng(27).normal(size=(2, 32, 3))
     pred, maps = forward(x, params, cfg, capture_attention=True)
@@ -340,7 +340,7 @@ def test_blocked_forward_captures_one_map_per_layer(monkeypatch):
 )
 def test_forward_finite_and_blocking_invariant(B, P, extra, S_frac, N, H, width, seed):
     T, S, D = max(2, P + extra), max(1, P * S_frac // 8), H * width  # revin needs T >= 2
-    cfg = ModelConfig(T=T, F=4, N=N, P=P, S=S, D=D, H=H, L=2, D_ff=2 * D, dropout=0.0, seed=seed)
+    cfg = ModelConfig(T=T, F=4, P=P, S=S, D=D, H=H, L=2, D_ff=2 * D, dropout=0.0, seed=seed)
     params = build(cfg)
     x = rng(seed).normal(size=(B, T, N))
     pred, _ = forward(x, params, cfg)

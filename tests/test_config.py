@@ -99,27 +99,8 @@ def test_overrides_apply_in_order():
         apply_overrides(run, ["no-equals-sign"])
 
 
-def test_to_model_config_infers_width():
-    run = parse_run_config("model.T = 96\nmodel.F = 24\n")
-    cfg = run.to_model_config(5)
-    assert cfg.N == 5 and cfg.T == 96 and cfg.F == 24
-    with pytest.raises(ConfigError):
-        run.to_model_config(None)
-    run.model["N"] = 3
-    assert run.to_model_config(None).N == 3
-    assert run.to_model_config(3).N == 3
-
-
-def test_to_model_config_rejects_a_width_the_data_does_not_have():
-    run = parse_run_config("model.N = 5\n")
-    with pytest.raises(ConfigError, match="model.N = 5 but the data has 4 variates"):
-        run.to_model_config(4)
-
-
 def test_to_model_config_carries_seed():
-    run = RunConfig(seed=9)
-    run.model["N"] = 2
-    assert run.to_model_config().seed == 9
+    assert RunConfig(seed=9).to_model_config() == ModelConfig(T=96, F=24, seed=9)
 
 
 def test_to_hyper_mapping():
@@ -140,7 +121,8 @@ def test_column_lists():
 
 
 # The defaults as the flat-field RunConfig serialized them, minus the
-# data.frequency line: the file format is unchanged by deriving the keys.
+# data.frequency and model.N lines: the file format is unchanged by deriving
+# the keys.
 DEFAULT_TEXT = """\
 data.path = 
 data.name = 
@@ -150,7 +132,6 @@ data.value_columns =
 data.borrow_prefix = false
 model.T = 96
 model.F = 24
-model.N = 0
 model.P = 16
 model.S = 8
 model.D = 16
@@ -169,8 +150,8 @@ out.dir = runs
 seed = 0
 """
 
-# A config file as the flat-field RunConfig wrote it, minus data.frequency,
-# with every model.* and train.* value away from its default.
+# A config file as the flat-field RunConfig wrote it, minus data.frequency
+# and model.N, with every model.* and train.* value away from its default.
 WRITTEN_TEXT = """\
 data.path = d.csv
 data.name = 
@@ -180,7 +161,6 @@ data.value_columns =
 data.borrow_prefix = false
 model.T = 48
 model.F = 12
-model.N = 0
 model.P = 8
 model.S = 4
 model.D = 24
@@ -207,8 +187,8 @@ def test_default_serialization_is_the_golden_text():
 
 def test_written_config_parses_to_equal_model_config_and_hyper():
     run = parse_run_config(WRITTEN_TEXT)
-    assert run.to_model_config(5) == ModelConfig(
-        T=48, F=12, N=5, P=8, S=4, D=24, H=3, L=3, D_ff=40, dropout=0.1,
+    assert run.to_model_config() == ModelConfig(
+        T=48, F=12, P=8, S=4, D=24, H=3, L=3, D_ff=40, dropout=0.1,
         mode="time_first", seed=11,
     )
     assert run.to_hyper("x.jsonl") == TrainHyper(
@@ -224,6 +204,7 @@ def test_section_keys_are_the_dataclass_fields():
     assert list(run.train) == [
         f.name for f in fields(TrainHyper) if f.name not in ("seed", "log_path")
     ]
-    for key in ("model.seed", "model.norm_over", "train.seed", "train.log_path", "data.frequency"):
+    assert len(run.model) == 10
+    for key in ("model.seed", "model.norm_over", "model.N", "train.seed", "train.log_path", "data.frequency"):
         with pytest.raises(ConfigError, match="unknown config key"):
             set_key(run, key, "1")

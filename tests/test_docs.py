@@ -8,7 +8,6 @@ import sys
 import pytest
 
 import gridcast
-from gridcast.config import parse_run_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = sorted(name for name in os.listdir(os.path.join(ROOT, "demos")) if name.endswith(".py"))
@@ -40,11 +39,20 @@ def test_public_names_resolve_and_cover_the_readme():
     assert imported <= set(gridcast.__all__), imported - set(gridcast.__all__)
 
 
-def test_readme_run_config_parses_and_builds():
+def test_readme_run_config_parses_and_builds(tmp_path, monkeypatch):
+    # the README's RunConfig example runs as written, reading its ini block
     with open(os.path.join(ROOT, "README.md")) as fh:
         readme = fh.read()
     blocks = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
     assert len(blocks) == 1, "the README should hold one ```ini run.cfg block"
-    run = parse_run_config(blocks[0])
-    assert run.to_model_config(4).N == 4
-    run.to_hyper()
+    examples = [
+        block
+        for block in re.findall(r"^```python\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
+        if "load_run_config" in block
+    ]
+    assert len(examples) == 1, "the README should hold one RunConfig python block"
+    (tmp_path / "run.cfg").write_text(blocks[0])
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(examples[0], namespace)
+    assert namespace["cfg"] == gridcast.ModelConfig(**namespace["run"].model, seed=0)

@@ -143,7 +143,7 @@ def test_patch_count_matches_padded_tiling(T, P, S_frac):
 
 def test_patch_config_validation():
     # the patch geometry is validated once, by ModelConfig
-    patch = dict(F=8, N=1, P=16, S=8, D=32)
+    patch = dict(F=8, P=16, S=8, D=32)
     assert ModelConfig(T=336, **patch).M == 42
     assert pad_tail(np.zeros((336, 1)), 16, 8).shape[0] == 344
     with pytest.raises(ConfigError):

@@ -25,7 +25,7 @@ def rng(seed=0):
 
 def small_config(**kw):
     base = dict(
-        T=32, F=5, N=2, P=8, S=4, D=8, H=2, L=2, D_ff=16, dropout=0.0, mode="alternate"
+        T=32, F=5, P=8, S=4, D=8, H=2, L=2, D_ff=16, dropout=0.0, mode="alternate"
     )
     base.update(kw)
     return ModelConfig(**base)
@@ -35,7 +35,7 @@ def small_config(**kw):
 
 
 def test_config_derived_patch_count():
-    cfg = ModelConfig(T=336, F=96, N=7)
+    cfg = ModelConfig(T=336, F=96)
     assert cfg.M == 42  # P=16, S=8 defaults
 
 
@@ -51,11 +51,17 @@ def test_config_derived_patch_count():
     ],
 )
 def test_config_validation_names_field(kw, field):
-    base = dict(T=96, F=24, N=4)
+    base = dict(T=96, F=24)
     base.update(kw)
     with pytest.raises(ConfigError) as err:
         ModelConfig(**base)
     assert field in str(err.value)
+
+
+def test_config_takes_keywords_only():
+    # a positional call would shift silently whenever a field is added or removed
+    with pytest.raises(TypeError):
+        ModelConfig(96, 24, 4)
 
 
 def test_build_deterministic_per_seed():
@@ -68,7 +74,7 @@ def test_build_deterministic_per_seed():
 
 
 def test_build_head_width():
-    params = build(ModelConfig(T=96, F=24, N=4, D=16, H=4))
+    params = build(ModelConfig(T=96, F=24, D=16, H=4))
     for layer in params.layers:
         assert layer.w_query.shape == (4, 16, 4)  # d_k = D / H = 4
 
@@ -78,7 +84,7 @@ def test_build_parameter_count_closed_form():
     #   W_p 256 + W_pos 672
     #   per layer: qkv 3*4*16*4=768, out 256, ffn 512+512, norms 64  -> 2112
     #   head: 42*16*96 = 64512 weights + 96 bias
-    cfg = ModelConfig(T=336, F=96, N=7, P=16, S=8, D=16, H=4, L=2, D_ff=32)
+    cfg = ModelConfig(T=336, F=96, P=16, S=8, D=16, H=4, L=2, D_ff=32)
     params = build(cfg)
     assert cfg.M == 42
     expected = 256 + 672 + 2 * 2112 + 64512 + 96
@@ -140,7 +146,7 @@ def test_forward_loop_oracle_all_modes(mode):
 
 
 def test_forward_variate_permutation_equivariance():
-    cfg = small_config(N=4)
+    cfg = small_config()
     params = build(cfg, rng(7))
     x = rng(8).normal(size=(2, 32, 4))
     perm = np.array([2, 0, 3, 1])
@@ -150,7 +156,7 @@ def test_forward_variate_permutation_equivariance():
 
 
 def test_forward_accepts_variate_subset():
-    cfg = small_config(N=4)
+    cfg = small_config()
     params = build(cfg, rng(9))
     y, _ = forward(rng(10).normal(size=(2, 32, 3)), params, cfg)
     assert y.shape == (2, 5, 3)
@@ -174,7 +180,7 @@ def test_three_modes_coincide_for_single_variate_with_neutral_vertical():
     outputs = {}
     x = rng(13).normal(size=(2, 32, 1))
     for mode in ("channel_first", "time_first", "alternate"):
-        cfg = small_config(N=1, mode=mode)
+        cfg = small_config(mode=mode)
         params = build(cfg, rng(14))
         import copy
 
@@ -211,10 +217,11 @@ def test_forward_fuzz_shapes():
     for _ in range(5):
         T = int(r.integers(16, 64))
         P = int(r.choice([4, 8]))
+        F = int(r.integers(1, 12))
+        N = int(r.integers(1, 5))  # the data's width; drawn here so each seed draws the same shapes
         cfg = ModelConfig(
             T=T,
-            F=int(r.integers(1, 12)),
-            N=int(r.integers(1, 5)),
+            F=F,
             P=P,
             S=int(r.choice([P // 2, P])),
             D=8,
@@ -226,8 +233,8 @@ def test_forward_fuzz_shapes():
         )
         params = build(cfg, r)
         B = int(r.integers(1, 4))
-        y, _ = forward(r.normal(size=(B, cfg.T, cfg.N)), params, cfg)
-        assert y.shape == (B, cfg.F, cfg.N)
+        y, _ = forward(r.normal(size=(B, cfg.T, N)), params, cfg)
+        assert y.shape == (B, cfg.F, N)
         assert np.isfinite(y.data).all()
 
 
@@ -235,7 +242,7 @@ def test_forward_fuzz_shapes():
 
 
 def test_capture_shapes_and_directions():
-    cfg = small_config(N=3, L=4)
+    cfg = small_config(L=4)
     params = build(cfg, rng(16))
     _, maps = forward(rng(17).normal(size=(2, 32, 3)), params, cfg, capture_attention=True)
     assert [m.direction for m in maps] == ["horizontal", "vertical", "horizontal", "vertical"]
@@ -251,7 +258,7 @@ def test_capture_single_head_equals_raw_weights():
     from gridcast.attention import apply_horizontal
     from gridcast.embed import embed_grid, pad_tail, revin_normalize
 
-    cfg = small_config(N=1, H=1, L=1, mode="time_first")
+    cfg = small_config(H=1, L=1, mode="time_first")
     params = build(cfg, rng(18))
     x = rng(19).normal(size=(1, 32, 1))
     _, maps = forward(x, params, cfg, capture_attention=True)
@@ -263,7 +270,7 @@ def test_capture_single_head_equals_raw_weights():
 
 
 def test_capture_two_heads_average_oracle():
-    cfg = small_config(N=1, H=2, L=1, mode="time_first")
+    cfg = small_config(H=2, L=1, mode="time_first")
     params = build(cfg, rng(20))
     from gridcast.attention import apply_horizontal
     from gridcast.embed import embed_grid, pad_tail, revin_normalize
@@ -279,7 +286,7 @@ def test_capture_two_heads_average_oracle():
 
 
 def test_export_attention_files(tmp_path):
-    cfg = small_config(N=3, L=2)
+    cfg = small_config(L=2)
     params = build(cfg, rng(22))
     _, maps = forward(rng(23).normal(size=(1, 32, 3)), params, cfg, capture_attention=True)
     paths = export_attention(maps, tmp_path / "maps")
@@ -309,7 +316,7 @@ def test_export_attention_requires_capture(tmp_path):
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
-    cfg = small_config(N=3, L=2)
+    cfg = small_config(L=2)
     params = build(cfg, rng(24))
     # populate running statistics so state restore is exercised
     forward(rng(25).normal(size=(4, 32, 3)), params, cfg, training=True)
@@ -422,14 +429,15 @@ def test_checkpoint_missing_parameter(tmp_path):
 
 def test_checkpoint_with_the_norm_over_key_loads_and_forecasts_the_same_bits(tmp_path):
     # every checkpoint written while ModelConfig had norm_over stores
-    # "norm_over": "batch_and_tokens" in its config JSON
-    cfg = small_config(N=3)
+    # "norm_over": "batch_and_tokens" in its config JSON, and every one written
+    # while it had N stores the training width
+    cfg = small_config()
     params = build(cfg, rng(27))
     forward(rng(28).normal(size=(4, 32, 3)), params, cfg, training=True)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params, cfg)
     config = json.loads(str(np.load(path, allow_pickle=False)["__config__"][()]))
-    rewrite_config(path, json.dumps({**config, "norm_over": "batch_and_tokens"}))
+    rewrite_config(path, json.dumps({**config, "norm_over": "batch_and_tokens", "N": 3}))
     loaded_params, loaded_cfg = load_checkpoint(path)
     assert loaded_cfg == cfg
     x = rng(29).normal(size=(2, 32, 3))

@@ -227,11 +227,11 @@ def test_persistence_sine_matches_direct_evaluation():
 # -- evaluate ----------------------------------------------------------------
 
 
-def tiny_setup(seed=0, **cfg_kw):
-    base = dict(T=24, F=8, N=4, P=8, S=4, D=8, H=2, L=2, D_ff=16, dropout=0.0, seed=seed)
+def tiny_setup(seed=0, N=4, **cfg_kw):
+    base = dict(T=24, F=8, P=8, S=4, D=8, H=2, L=2, D_ff=16, dropout=0.0, seed=seed)
     base.update(cfg_kw)
     cfg = ModelConfig(**base)
-    ds = synthetic_sines(700, n_variates=cfg.N, period=48, noise=0.05, seed=seed)
+    ds = synthetic_sines(700, n_variates=N, period=48, noise=0.05, seed=seed)
     tr, va, te = chronological_split(ds, SplitSpec(6, 2, 2))
     tr, va, te, _ = standardize(tr, va, te)
     return cfg, build(cfg, rng(seed)), (tr, va, te)
