@@ -7,7 +7,11 @@ parent that needs no gradient. ``backward()`` walks the nodes once in reverse
 topological order and accumulates gradients into the ``.grad`` of
 requires_grad leaves. Graphs are meant to be rebuilt per forward pass.
 
-What a graph keeps alive is what its vjps captured and nothing else. A node
+What a graph keeps alive is what its vjps captured and nothing else, and a
+vjp captures an array only for the gradient of a parent that needs one: it
+returns None, which ``backward()`` skips, for a parent that needs none, and
+forms no product for it. So ``h * 0.5`` keeps nothing of ``h``, and
+``Tensor(patches) @ W`` keeps the patches for W's gradient but not W. A node
 does not refer to its output tensor, so an intermediate tensor that no caller
 holds, such as the raw attention scores that softmax consumes or a residual
 sum fed to batch_norm, is freed as soon as its forward use ends. A leaf's node
@@ -76,6 +80,24 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def _as_array(value) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
+
+
+def _gelu_slope(x: np.ndarray, t: np.ndarray, k: float, c: float) -> np.ndarray:
+    """d gelu / dx = 0.5 (1 + t) + 0.5 x (1 - t^2) k (1 + 3c x^2) for t =
+    tanh(k (x + c x^3)), in two buffers; the result is the first."""
+    dt = x * (3.0 * c)
+    dt *= x
+    dt += 1.0
+    slope = t * t
+    np.subtract(1.0, slope, out=slope)
+    slope *= k
+    slope *= dt
+    slope *= x
+    slope *= 0.5
+    np.add(t, 1.0, out=dt)
+    dt *= 0.5
+    dt += slope
+    return dt
 
 
 class _Node:
@@ -178,9 +200,13 @@ class Tensor:
         other = Tensor._coerce(other)
         out_data = self.data + other.data
         a_shape, b_shape = self.shape, other.shape
+        need_a, need_b = self.requires_grad, other.requires_grad
 
         def vjp(g):
-            return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
+            return (
+                _unbroadcast(g, a_shape) if need_a else None,
+                _unbroadcast(g, b_shape) if need_b else None,
+            )
 
         return Tensor._make(out_data, (self, other), vjp)
 
@@ -194,12 +220,18 @@ class Tensor:
 
     def __mul__(self, other):
         other = Tensor._coerce(other)
-        a, b = self.data, other.data
+        a_shape, b_shape = self.shape, other.shape
+        # each operand is read only for the other's gradient
+        a = self.data if other.requires_grad else None
+        b = other.data if self.requires_grad else None
 
         def vjp(g):
-            return _unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)
+            return (
+                None if b is None else _unbroadcast(g * b, a_shape),
+                None if a is None else _unbroadcast(g * a, b_shape),
+            )
 
-        return Tensor._make(a * b, (self, other), vjp)
+        return Tensor._make(self.data * other.data, (self, other), vjp)
 
     __rmul__ = __mul__
 
@@ -226,9 +258,17 @@ class Tensor:
         except ValueError as exc:
             raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}") from exc
 
+        a_shape, b_shape = a.shape, b.shape
+        # each operand is read only for the other's gradient
+        a_kept = a if other.requires_grad else None
+        b_kept = b if self.requires_grad else None
+
         def vjp(g):
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape)
-            gb = _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape)
+            ga = gb = None
+            if b_kept is not None:
+                ga = _unbroadcast(np.matmul(g, np.swapaxes(b_kept, -1, -2)), a_shape)
+            if a_kept is not None:
+                gb = _unbroadcast(np.matmul(np.swapaxes(a_kept, -1, -2), g), b_shape)
             return ga, gb
 
         return Tensor._make(out_data, (self, other), vjp)
@@ -358,7 +398,9 @@ class Tensor:
         Each pass writes into one of two buffers instead of a fresh
         temporary per operator. The operations and their order are those of
         the formula, so the values are the same bit for bit; the factors of
-        0.5 are exact in either order.
+        0.5 are exact in either order. When a graph is being built, forward
+        also forms the derivative (``_gelu_slope``), and the node keeps that
+        one array, not x and tanh; backward multiplies it by g.
         """
         k = math.sqrt(2.0 / math.pi)
         c = 0.044715
@@ -369,28 +411,12 @@ class Tensor:
         t += x
         t *= k
         np.tanh(t, out=t)
+        # formed before the output, so its temporary is freed by then
+        slope = _gelu_slope(x, t, k, c) if _GRAD_ENABLED and self.requires_grad else None
         out_data = t + 1.0
         out_data *= x
         out_data *= 0.5
-
-        def vjp(g):
-            # dt = (1 - t^2) k (1 + 3c x^2); grad = g (0.5 (1 + t) + 0.5 x dt)
-            dt = x * (3.0 * c)
-            dt *= x
-            dt += 1.0
-            slope = t * t
-            np.subtract(1.0, slope, out=slope)
-            slope *= k
-            slope *= dt
-            slope *= x
-            slope *= 0.5
-            np.add(t, 1.0, out=dt)
-            dt *= 0.5
-            dt += slope
-            dt *= g
-            return (dt,)
-
-        return Tensor._make(out_data, (self,), vjp)
+        return Tensor._make(out_data, (self,), lambda g: (g * slope,))
 
     # -- backward pass -------------------------------------------------------
 
@@ -531,13 +557,28 @@ def batch_norm(
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or rate == 0."""
+    """Inverted dropout; identity when not training or rate == 0.
+
+    One graph node that keeps only its boolean keep-mask, an eighth of the
+    bytes of a float64 mask, and rebuilds the scaled mask
+    ``keep * (1 / (1 - rate))`` in backward: the same bits as
+    ``keep / (1 - rate)``, since both round 1 / (1 - rate) once.
+    """
     if not training or rate == 0.0:
         return x
     if not 0.0 <= rate < 1.0:
         raise ShapeError(f"dropout rate {rate} outside [0, 1)")
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(mask)
+    keep = rng.random(x.shape) >= rate
+    scale = 1.0 / (1.0 - rate)
+
+    def vjp(g):
+        mask = keep * scale
+        mask *= g
+        return (mask,)
+
+    out = keep * scale
+    out *= x.data
+    return Tensor._make(out, (x,), vjp)
 
 
 def grad_check(f, inputs: list[Tensor], eps: float = 1e-4) -> float:

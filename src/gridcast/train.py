@@ -37,13 +37,14 @@ def mse(pred, target) -> Tensor:
         raise ShapeError(f"mse shape mismatch: {pred.shape} vs {target.shape}")
     diff = pred.data - target.data
     scale = 1.0 / diff.size
+    need_target = target.requires_grad
 
     def vjp(g):
         # C order whatever diff's layout (forward's pred is a transposed
         # view): the layout of this gradient sets the order in which every
         # einsum sum downstream adds
         gd = np.multiply(g * scale * 2.0, diff, order="C")
-        return gd, -gd
+        return gd, -gd if need_target else None
 
     return Tensor._make(np.square(diff).sum() * scale, (pred, target), vjp)
 

@@ -483,6 +483,53 @@ def test_graph_frees_intermediates_backward_twice_adds_twice():
     np.testing.assert_array_equal(B.grad, first_b + first_b)
 
 
+def _captured_arrays(t: Tensor) -> list:
+    """The arrays the vjp of the node that made ``t`` keeps alive."""
+    cells = t._vjp.__closure__ or ()
+    return [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]
+
+
+@pytest.mark.parametrize("const", [0.5, Tensor(np.arange(1.0, 5.0))], ids=["float", "tensor"])
+def test_a_product_with_a_constant_keeps_nothing_of_the_other_operand(const):
+    # the constant needs no gradient, so the product's vjp reads only the
+    # constant, and the intermediate h is freed once the caller drops it
+    r = rng(40)
+    x = Tensor(r.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(r.normal(size=(4, 4)), requires_grad=True)
+    h = x @ w
+    ref = weakref.ref(h.data)
+    loss = (h * const).sum()
+    del h
+    assert ref() is None
+    loss.backward()
+    g_h = np.ones((3, 4)) * Tensor._coerce(const).data
+    np.testing.assert_array_equal(x.grad, np.matmul(g_h, w.data.T))
+
+
+def test_gelu_keeps_one_array_of_its_input_size():
+    x = Tensor(rng(42).normal(size=(4, 6)), requires_grad=True)
+    assert [a.shape for a in _captured_arrays(x.gelu())] == [x.shape]
+
+
+def test_training_dropout_keeps_one_bool_mask_and_no_float_copy():
+    x = Tensor(rng(41).normal(size=(6, 5)), requires_grad=True)
+    kept = _captured_arrays(dropout(x, 0.3, rng(0), training=True))
+    assert [(a.dtype, a.shape) for a in kept] == [(np.dtype(bool), x.shape)]
+
+
+def test_matmul_by_a_constant_forms_no_gradient_for_it():
+    r = rng(43)
+    c = r.normal(size=(2, 3, 4))
+    w = Tensor(r.normal(size=(4, 5)), requires_grad=True)
+    out = Tensor(c) @ w
+    # the constant is kept for w's gradient, w for nobody's
+    assert [a is c for a in _captured_arrays(out)] == [True]
+    g = r.normal(size=(2, 3, 5))
+    gc_, gw = out._vjp(g)
+    assert gc_ is None
+    np.testing.assert_array_equal(gw, np.matmul(np.swapaxes(c, -1, -2), g).sum(axis=0))
+
+
 def test_dropped_graph_frees_its_leaf_without_the_cycle_collector():
     enabled = gc.isenabled()
     gc.disable()
@@ -536,6 +583,20 @@ def test_dropout_inverted_scaling():
     kept = out.data[out.data > 0]
     np.testing.assert_allclose(kept, np.full(kept.size, 1.0 / 0.75))
     assert abs(out.data.mean() - 1.0) < 0.05
+
+
+def test_dropout_node_is_the_scaled_mask_product_bit_for_bit():
+    # the node keeps the boolean mask and scales it in backward; values and
+    # gradient are those of a product with the float mask keep / (1 - rate)
+    shape = (7, 9)
+    for rate in (0.1, 0.3, 0.7):
+        x = Tensor(rng(15).normal(size=shape), requires_grad=True)
+        g = rng(16).normal(size=shape)
+        out = dropout(x, rate, rng(99), training=True)
+        mask = (rng(99).random(shape) >= rate) / (1 - rate)
+        assert out.data.tobytes() == (x.data * mask).tobytes()
+        (out * Tensor(g)).sum().backward()
+        assert x.grad.tobytes() == (g * mask).tobytes()
 
 
 # -- grad_check --------------------------------------------------------------
@@ -636,15 +697,6 @@ def test_batch_norm_inference_node_equals_the_composed_ops():
     x.zero_grad()
     (ref * Tensor(g)).sum().backward()
     assert (got == x.grad).all()
-
-
-def test_grad_check_dropout_fixed_mask():
-    x = Tensor(rng(15).normal(size=(10,)))
-
-    def fn(ts):
-        return dropout(ts[0], 0.3, rng(99), training=True).sum()
-
-    assert grad_check(fn, [x]) < 1e-3
 
 
 # -- determinism -------------------------------------------------------------

@@ -1,6 +1,7 @@
 import gc
 import importlib
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -328,6 +329,35 @@ def test_train_frees_each_step_graph_before_the_next_forward(monkeypatch):
     # every training forward and the first validation forward
     assert steps > 2
     assert seen_alive[: steps + 1] == [0] * (steps + 1)
+
+
+def test_a_training_forward_keeps_only_what_backward_reads():
+    # Bytes a training forward of the reference model (8 variates, batch 4,
+    # dropout 0.2) leaves alive until backward: 2,374,504 while products
+    # with a constant and dropout kept their other operand and gelu kept x
+    # and tanh, 1,705,120 since each vjp keeps only what its parents'
+    # gradients read. Pinning one more [4, 12, 8, 16] activation per layer
+    # (98 KB) crosses the bound.
+    cfg = ModelConfig(T=96, F=24)
+    params = build(cfg, rng(0))
+    x = rng(5).normal(size=(4, cfg.T + cfg.F, 8))
+    drop = rng(7)
+
+    def loss_of_forward():
+        pred, _ = forward(x[:, : cfg.T], params, cfg, training=True, rng=drop)
+        return mse(pred, x[:, cfg.T :])
+
+    loss_of_forward().backward()  # the batch-norm running statistics now exist
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = loss_of_forward()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    loss.backward()
+    assert all(np.isfinite(t.grad).all() for _, t in params.named_parameters())
+    assert kept < 1_780_000
 
 
 def test_train_restores_best_checkpoint():
