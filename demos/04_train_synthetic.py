@@ -7,6 +7,7 @@ persistence baseline (repeat the last observed value). Runs in well under a
 minute on one core.
 """
 
+from gridcast.attention import sequence_directions
 from gridcast.data import SplitSpec, chronological_split, standardize, synthetic_sines
 from gridcast.model import ModelConfig, build
 from gridcast.train import TrainHyper, persistence_baseline, train
@@ -17,7 +18,8 @@ train_ds, val_ds, test_ds, _ = standardize(train_ds, val_ds, test_ds)
 
 cfg = ModelConfig(T=96, F=24, P=16, S=8, D=16, H=4, L=2, D_ff=32, dropout=0.0, seed=0)
 params = build(cfg)
-print(f"model: {params.parameter_count()} parameters, layer order {params.directions}")
+order = sequence_directions(cfg.mode, cfg.L)
+print(f"model: {params.parameter_count()} parameters, layer order {order}")
 
 hyper = TrainHyper(lr=2e-3, batch_size=64, max_epochs=4, patience=5, seed=0)
 report = train(params, cfg, (train_ds, val_ds, test_ds), hyper)

@@ -29,8 +29,8 @@ from gridcast.errors import ConfigError, ShapeError
 from gridcast.tensor import BatchNormState, Tensor, batch_norm, dropout
 
 DIRECTIONS = ("horizontal", "vertical")
-SEQUENCING_MODES = ("channel_first", "time_first", "alternate")
-COST_MODES = SEQUENCING_MODES + ("horizontal_only", "vertical_only")
+# layer orders; the last two attend in one direction only, the paper's ablations
+MODES = ("channel_first", "time_first", "alternate", "horizontal_only", "vertical_only")
 
 # Largest [rows, H, L, L] float64 score block one attention step forms: a
 # quarter of a 2 MB per-core L2. Forward holds a block's scores and weights,
@@ -114,11 +114,6 @@ class AttentionMap:
             raise ShapeError("attention map rows must sum to 1")
 
 
-def _swap_last_two(t: Tensor) -> Tensor:
-    axes = tuple(range(t.ndim - 2)) + (t.ndim - 1, t.ndim - 2)
-    return t.permute(*axes)
-
-
 def project_heads(x: Tensor, w: Tensor) -> Tensor:
     """Every head's projection ``x @ w[h]`` of x [..., L, D] by w [H, D, d],
     as one [G, H, L, d] graph node, G collapsing the leading axes of x.
@@ -147,12 +142,6 @@ def project_heads(x: Tensor, w: Tensor) -> Tensor:
 
     out = (x2 @ w2).reshape(G, L, H, d).transpose(0, 2, 1, 3)
     return Tensor._make(out, (x, w), vjp)
-
-
-def _attend(Qs: Tensor, Kt: Tensor, V: Tensor) -> tuple:
-    """(softmax(Qs Kt) V, weights) for scaled queries and transposed keys."""
-    weights = (Qs @ Kt).softmax(axis=-1)
-    return weights @ V, weights
 
 
 def multi_head(x: Tensor, params: AttentionParams, capture: Optional[list] = None) -> Tensor:
@@ -185,13 +174,13 @@ def multi_head(x: Tensor, params: AttentionParams, capture: Optional[list] = Non
     K = project_heads(xg, params.w_key)
     V = project_heads(xg, params.w_value)
     # scale and transpose once; per block they would add two graph nodes
-    Qs, Kt = Q * (1.0 / np.sqrt(d_k)), _swap_last_two(K)
+    Qs, Kt = Q * (1.0 / np.sqrt(d_k)), K.permute(0, 1, 3, 2)
     rows = max(1, SCORE_BLOCK_BYTES // (H * L * L * Q.data.itemsize))
     outs, block_weights = [], []
     for start in range(0, G, rows):
         stop = min(start + rows, G)
-        att, weights = _attend(Qs.rows(start, stop), Kt.rows(start, stop), V.rows(start, stop))
-        outs.append(att)
+        weights = (Qs.rows(start, stop) @ Kt.rows(start, stop)).softmax(axis=-1)
+        outs.append(weights @ V.rows(start, stop))
         if capture is not None:
             block_weights.append(weights.data)
     # free the scaled queries before the output projection allocates: without
@@ -273,8 +262,9 @@ def sequence_directions(mode: str, n_layers: int) -> list:
     """Layer direction order for a sequencing mode.
 
     channel_first runs its vertical block first (extra layer on the first
-    block when depth is odd), time_first mirrors it, and alternate starts
-    horizontal on even indices.
+    block when depth is odd), time_first mirrors it, alternate starts
+    horizontal on even indices, and horizontal_only / vertical_only run
+    every layer in one direction.
     """
     if n_layers < 1:
         raise ConfigError(f"need at least one layer, got {n_layers}")
@@ -289,7 +279,7 @@ def sequence_directions(mode: str, n_layers: int) -> list:
         return ["horizontal"] * n_layers
     if mode == "vertical_only":
         return ["vertical"] * n_layers
-    raise ConfigError(f"unknown sequencing mode {mode!r}; choose from {COST_MODES}")
+    raise ConfigError(f"unknown sequencing mode {mode!r}; choose from {MODES}")
 
 
 @dataclass(frozen=True)

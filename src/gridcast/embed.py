@@ -1,10 +1,10 @@
 """Instance normalization, tail padding, patching, and grid embedding.
 
-A lookback window X in R^{T x N} becomes a grid of patch tokens in
-R^{M x N x D}: per-variate zero-mean/unit-std normalization, tail padding so
-exactly M = ceil((T - P) / S) + 2 patches of length P at stride S fit, then a
-shared linear projection plus an additive learned position encoding over the
-patch axis.
+A batch of lookback windows [B x T x N] becomes a grid of patch tokens
+[B x M x N x D]: per-window, per-variate zero-mean/unit-std normalization,
+tail padding so exactly M = ceil((T - P) / S) + 2 patches of length P at
+stride S fit, then a shared linear projection plus an additive learned
+position encoding over the patch axis.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ STD_FLOOR = 1e-5
 class NormStats:
     """Per-window, per-variate mean and clamped std, kept for denormalization.
 
-    Shapes are [N] for a single window and [B, 1, N] for a batch, so both
-    broadcast directly against [.., F, N] predictions.
+    Both are [B, 1, N], so they broadcast directly against [B, F, N]
+    predictions.
     """
 
     mean: np.ndarray
@@ -37,39 +37,32 @@ def patch_count(T: int, P: int, S: int) -> int:
 
 
 def revin_normalize(x: np.ndarray) -> tuple:
-    """Normalize each variate of each window to zero mean, unit std.
+    """Normalize each variate of each window of a batch [B, T, N] to zero
+    mean, unit std; returns the normalized batch and its ``NormStats``.
 
-    Accepts [T, N] or [B, T, N]; statistics are per window and per variate,
-    population std with a small positive floor so constant series map to zeros.
+    Statistics are per window and per variate: population std with a small
+    positive floor, so constant series map to zeros.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (2, 3):
-        raise ShapeError(f"expected [T,N] or [B,T,N], got shape {x.shape}")
-    if x.shape[-2] < 2:
+    if x.ndim != 3:
+        raise ShapeError(f"expected [B,T,N], got shape {x.shape}")
+    if x.shape[1] < 2:
         raise ShapeError(f"need at least 2 time steps to normalize, got {x.shape}")
-    axis = -2
-    mean = x.mean(axis=axis, keepdims=True)
-    std = np.maximum(x.std(axis=axis, keepdims=True), STD_FLOOR)
-    if x.ndim == 2:
-        stats = NormStats(mean=mean[0], std=std[0])
-    else:
-        stats = NormStats(mean=mean, std=std)
-    return (x - mean) / std, stats
+    mean = x.mean(axis=1, keepdims=True)
+    std = np.maximum(x.std(axis=1, keepdims=True), STD_FLOOR)
+    return (x - mean) / std, NormStats(mean=mean, std=std)
 
 
 def revin_denormalize(y, stats: NormStats):
-    """Undo ``revin_normalize``: y * std + mean, broadcasting over the horizon.
+    """Undo ``revin_normalize`` on a [B, F, N] prediction: y * std + mean.
 
-    Works on plain arrays or Tensors (the model output keeps its gradient
-    path through the affine rescale).
+    ``y`` is an array or a Tensor; a Tensor keeps its gradient path through
+    the affine rescale.
     """
-    n_y = y.shape[-1]
-    n_s = stats.std.shape[-1]
+    n_y, n_s = y.shape[-1], stats.std.shape[-1]
     if n_y != n_s:
         raise ShapeError(f"stats cover {n_s} variates but prediction has {n_y}")
-    if isinstance(y, Tensor):
-        return y * stats.std + stats.mean
-    return np.asarray(y) * stats.std + stats.mean
+    return y * stats.std + stats.mean
 
 
 def pad_tail(x: np.ndarray, P: int, S: int) -> np.ndarray:

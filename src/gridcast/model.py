@@ -18,9 +18,9 @@ from typing import List, Optional
 import numpy as np
 
 from gridcast.attention import (
+    MODES,
     AttentionMap,
     AttentionParams,
-    SEQUENCING_MODES,
     apply_horizontal,
     apply_vertical,
     sequence_directions,
@@ -50,7 +50,7 @@ class ModelConfig:
     L: int = 2  # encoder layers
     D_ff: int = 32  # feed-forward width
     dropout: float = 0.2
-    mode: str = "alternate"
+    mode: str = "alternate"  # layer order, one of attention.MODES
     seed: int = 0
 
     def __post_init__(self):
@@ -65,8 +65,8 @@ class ModelConfig:
             raise ConfigError(f"H={self.H} must divide D={self.D}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.mode not in SEQUENCING_MODES:
-            raise ConfigError(f"mode={self.mode!r} must be one of {SEQUENCING_MODES}")
+        if self.mode not in MODES:
+            raise ConfigError(f"mode={self.mode!r} must be one of {MODES}")
 
     @property
     def M(self) -> int:
@@ -80,7 +80,6 @@ class ModelParams:
     W_p: Tensor  # [P, D]
     W_pos: Tensor  # [M, D]
     layers: List[AttentionParams]
-    directions: List[str]  # per-layer direction tag, fixed by the mode
     head_w: Tensor  # [M*D, F], shared across variates
     head_b: Tensor  # [F]
 
@@ -106,7 +105,6 @@ def build(config: ModelConfig, rng: Optional[np.random.Generator] = None) -> Mod
         layers=[
             AttentionParams.init(D, config.H, config.D_ff, rng) for _ in range(config.L)
         ],
-        directions=sequence_directions(config.mode, config.L),
         head_w=xavier_uniform(rng, M * D, config.F),
         head_b=Tensor(np.zeros(config.F), requires_grad=True),
     )
@@ -140,14 +138,15 @@ def forward(
     padded = pad_tail(xn, config.P, config.S)
     grid = embed_grid(padded, params.W_p, params.W_pos, config.P, config.S)
 
+    directions = sequence_directions(config.mode, config.L)
     captured: Optional[list] = [] if capture_attention else None
-    for direction, layer in zip(params.directions, params.layers):
+    for direction, layer in zip(directions, params.layers):
         apply = apply_horizontal if direction == "horizontal" else apply_vertical
         grid = apply(
             grid,
             layer,
             training=training,
-            dropout_rate=config.dropout if training else 0.0,
+            dropout_rate=config.dropout,
             rng=rng,
             capture=captured,
         )
@@ -162,7 +161,7 @@ def forward(
         # one [groups, heads, L, L] array per layer -> head- and group-averaged [L, L]
         maps = [
             AttentionMap(weights.mean(axis=(0, 1)), direction, i)
-            for i, (weights, direction) in enumerate(zip(captured, params.directions))
+            for i, (weights, direction) in enumerate(zip(captured, directions))
         ]
     return revin_denormalize(y_norm, stats), maps
 

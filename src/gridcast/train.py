@@ -8,6 +8,7 @@ the model's instance normalization, not here.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import resource
 import time
@@ -261,21 +262,20 @@ def train(
     def run_step(inputs, targets, epoch, step) -> tuple:
         """Forward, backward and update on one batch: (loss, pre-clip gradient
         norm, None when frozen). The batch's graph lives only in this frame,
-        so it is freed before the next forward and before evaluation."""
+        so it is freed before the next forward and before evaluation; a
+        frozen step builds none."""
         try:
-            pred, _ = forward(inputs, params, config, training=not frozen, rng=rng)
-            loss = mse(pred, targets)
+            with no_grad() if frozen else contextlib.nullcontext():
+                pred, _ = forward(inputs, params, config, training=not frozen, rng=rng)
+                loss = mse(pred, targets)
+            value = loss.item()
+            if not np.isfinite(value):
+                raise NumericError(f"loss={value}")
         except NumericError as exc:
             raise DivergenceError(
                 f"training diverged: {exc} at epoch {epoch} step {step} "
                 f"(lr={hyper.lr}, batch={hyper.batch_size})"
             ) from exc
-        value = loss.item()
-        if not np.isfinite(value):
-            raise DivergenceError(
-                f"training diverged: loss={value} at epoch {epoch} "
-                f"step {step} (lr={hyper.lr}, batch={hyper.batch_size})"
-            )
         if frozen:
             return value, None
         for _, t in named:

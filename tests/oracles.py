@@ -14,7 +14,7 @@ import zlib
 
 import numpy as np
 
-from gridcast.attention import project_heads
+from gridcast.attention import project_heads, sequence_directions
 from gridcast.errors import ShapeError
 from gridcast.tensor import BatchNormState, Tensor, batch_norm, dropout
 from gridcast.train import mse
@@ -77,7 +77,7 @@ def forward_oracle(x, params, config):
             for m in range(M):
                 patch = padded[m * S : m * S + P, n]
                 grid[m, n] = patch @ params.W_p.data + params.W_pos.data[m]
-        for direction, layer in zip(params.directions, params.layers):
+        for direction, layer in zip(sequence_directions(config.mode, config.L), params.layers):
             new = np.zeros_like(grid)
             if direction == "horizontal":
                 for n in range(N):

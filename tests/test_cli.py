@@ -143,18 +143,36 @@ def test_train_horizon_sweep(workspace, tmp_path):
 
 
 def test_set_overrides_reach_snapshot(workspace, tmp_path):
-    out = tmp_path / "ovr"
-    code = main(
-        [
-            "train", "--config", str(workspace["cfg"]), "--out", str(out),
-            "--set", "train.max_epochs=1", "--set", "model.mode=time_first",
-        ]
-    )
-    assert code == 0
-    snap = load_run_config(out / "config.txt")
-    assert snap.model["mode"] == "time_first" and snap.train["max_epochs"] == 1
-    rows = read_results(out / "results.csv")
-    assert rows[1][RESULTS_HEADER.index("mode")] == "time_first"
+    # vertical_only is one of the paper's single-direction ablations: it takes
+    # the same round trip from train through the snapshot to a forecast
+    window_path, window = window_csv(workspace, tmp_path)
+    for mode in ("time_first", "vertical_only"):
+        out = tmp_path / mode
+        code = main(
+            [
+                "train", "--config", str(workspace["cfg"]), "--out", str(out),
+                "--set", "train.max_epochs=1", "--set", f"model.mode={mode}",
+            ]
+        )
+        assert code == 0
+        snap = load_run_config(out / "config.txt")
+        assert snap.model["mode"] == mode and snap.train["max_epochs"] == 1
+        rows = read_results(out / "results.csv")
+        assert rows[1][RESULTS_HEADER.index("mode")] == mode
+        params, cfg = load_checkpoint(out / "model_F8.ckpt")
+        assert cfg == snap.to_model_config()
+        out_file = out / "forecast.csv"
+        code = main(
+            [
+                "forecast", "--checkpoint", str(out / "model_F8.ckpt"),
+                "--window", str(window_path), "--out-file", str(out_file),
+            ]
+        )
+        assert code == 0
+        got = np.array([[float(v) for v in row] for row in read_results(out_file)])
+        with no_grad():
+            pred, _ = forward(window[None], params, cfg)
+        assert (got == pred.data[0]).all()
 
 
 # -- eval --------------------------------------------------------------------

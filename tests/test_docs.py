@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import gridcast
+from gridcast.attention import MODES
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = sorted(name for name in os.listdir(os.path.join(ROOT, "demos")) if name.endswith(".py"))
@@ -56,3 +57,10 @@ def test_readme_run_config_parses_and_builds(tmp_path, monkeypatch):
     namespace = {}
     exec(examples[0], namespace)
     assert namespace["cfg"] == gridcast.ModelConfig(**namespace["run"].model, seed=0)
+
+
+def test_readme_lists_the_sequencing_modes():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    (sentence,) = re.findall(r"Sequencing\s+modes:(.*?);", readme, flags=re.DOTALL)
+    assert tuple(re.findall(r"`(\w+)`", sentence)) == MODES

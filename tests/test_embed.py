@@ -20,27 +20,27 @@ def rng(seed=0):
 
 
 def test_revin_constant_column_maps_to_zero():
-    x = np.full((4, 1), 2.0)
+    x = np.full((1, 4, 1), 2.0)
     out, stats = revin_normalize(x)
-    np.testing.assert_array_equal(out, np.zeros((4, 1)))
-    assert stats.std[0] == 1e-5  # clamped, not divided by zero
+    np.testing.assert_array_equal(out, np.zeros((1, 4, 1)))
+    assert stats.std[0, 0, 0] == 1e-5  # clamped, not divided by zero
 
 
 def test_revin_two_point_hand_case():
-    out, stats = revin_normalize(np.array([[0.0], [2.0]]))
-    np.testing.assert_allclose(out, [[-1.0], [1.0]])
-    assert stats.mean[0] == 1.0 and stats.std[0] == 1.0
+    out, stats = revin_normalize(np.array([[[0.0], [2.0]]]))
+    np.testing.assert_allclose(out, [[[-1.0], [1.0]]])
+    assert stats.mean[0, 0, 0] == 1.0 and stats.std[0, 0, 0] == 1.0
 
 
 def test_revin_moments_within_tolerance():
-    x = rng(1).normal(size=(96, 5)) * 3.0 + 7.0
+    x = rng(1).normal(size=(1, 96, 5)) * 3.0 + 7.0
     out, _ = revin_normalize(x)
-    assert np.abs(out.mean(axis=0)).max() < 1e-6
-    assert np.abs(out.std(axis=0) - 1.0).max() < 1e-6
+    assert np.abs(out.mean(axis=1)).max() < 1e-6
+    assert np.abs(out.std(axis=1) - 1.0).max() < 1e-6
 
 
 def test_revin_roundtrip_identity():
-    x = rng(2).normal(size=(48, 3)) * 2.5 - 4.0
+    x = rng(2).normal(size=(1, 48, 3)) * 2.5 - 4.0
     out, stats = revin_normalize(x)
     np.testing.assert_allclose(revin_denormalize(out, stats), x, atol=1e-9)
 
@@ -48,39 +48,42 @@ def test_revin_roundtrip_identity():
 def test_revin_batched_per_window_stats():
     x = rng(3).normal(size=(4, 32, 2))
     out, stats = revin_normalize(x)
-    assert stats.mean.shape == (4, 1, 2)
+    assert stats.mean.shape == stats.std.shape == (4, 1, 2)
     for b in range(4):
-        single, s_single = revin_normalize(x[b])
-        np.testing.assert_allclose(out[b], single, atol=1e-12)
-        np.testing.assert_allclose(stats.mean[b, 0], s_single.mean)
+        single, s_single = revin_normalize(x[b : b + 1])
+        np.testing.assert_allclose(out[b], single[0], atol=1e-12)
+        np.testing.assert_allclose(stats.mean[b], s_single.mean[0])
     np.testing.assert_allclose(revin_denormalize(out, stats), x, atol=1e-9)
 
 
 def test_revin_denormalize_scalar_case():
     from gridcast.embed import NormStats
 
-    stats = NormStats(mean=np.array([3.0]), std=np.array([2.0]))
-    np.testing.assert_array_equal(revin_denormalize(np.ones((4, 1)), stats), np.full((4, 1), 5.0))
-    np.testing.assert_array_equal(revin_denormalize(np.zeros((4, 1)), stats), np.full((4, 1), 3.0))
+    stats = NormStats(mean=np.full((1, 1, 1), 3.0), std=np.full((1, 1, 1), 2.0))
+    ones, zeros = np.ones((1, 4, 1)), np.zeros((1, 4, 1))
+    np.testing.assert_array_equal(revin_denormalize(ones, stats), np.full((1, 4, 1), 5.0))
+    np.testing.assert_array_equal(revin_denormalize(zeros, stats), np.full((1, 4, 1), 3.0))
 
 
 def test_revin_denormalize_variate_mismatch():
-    _, stats = revin_normalize(rng(4).normal(size=(8, 3)))
+    _, stats = revin_normalize(rng(4).normal(size=(1, 8, 3)))
     with pytest.raises(ShapeError):
-        revin_denormalize(np.zeros((5, 2)), stats)
+        revin_denormalize(np.zeros((1, 5, 2)), stats)
 
 
 def test_revin_denormalize_keeps_tensor_gradient():
-    x = rng(5).normal(size=(6, 2))
+    x = rng(5).normal(size=(1, 6, 2))
     _, stats = revin_normalize(x)
-    y = Tensor(rng(6).normal(size=(3, 2)), requires_grad=True)
+    y = Tensor(rng(6).normal(size=(1, 3, 2)), requires_grad=True)
     revin_denormalize(y, stats).sum().backward()
-    np.testing.assert_allclose(y.grad, np.broadcast_to(stats.std, (3, 2)))
+    np.testing.assert_allclose(y.grad, np.broadcast_to(stats.std, (1, 3, 2)))
 
 
 def test_revin_rejects_single_step():
     with pytest.raises(ShapeError):
-        revin_normalize(np.ones((1, 2)))
+        revin_normalize(np.ones((2, 1, 2)))
+    with pytest.raises(ShapeError, match=r"\[B,T,N\]"):
+        revin_normalize(np.ones((4, 2)))  # one window must carry its batch axis
 
 
 # -- padding and patch count -------------------------------------------------

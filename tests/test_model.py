@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from gridcast.attention import sequence_directions
+from gridcast.attention import MODES, count_attention_cost, sequence_directions
 from gridcast.errors import ConfigError, NumericError, ShapeError
 from gridcast.model import (
     ModelConfig,
@@ -136,7 +136,7 @@ def test_forward_matches_loop_oracle():
     np.testing.assert_allclose(y.data, ref, atol=1e-8)
 
 
-@pytest.mark.parametrize("mode", ["channel_first", "time_first", "alternate"])
+@pytest.mark.parametrize("mode", MODES)
 def test_forward_loop_oracle_all_modes(mode):
     cfg = small_config(mode=mode, L=3)
     params = build(cfg, rng(5))
@@ -186,8 +186,7 @@ def test_three_modes_coincide_for_single_variate_with_neutral_vertical():
 
         tied = params.layers[0]
         params.layers = [tied] * cfg.L
-        assert params.directions == sequence_directions(cfg.mode, cfg.L)
-        for idx, direction in enumerate(params.directions):
+        for idx, direction in enumerate(sequence_directions(cfg.mode, cfg.L)):
             if direction != "vertical":
                 continue
             neutral = copy.deepcopy(tied)
@@ -252,6 +251,31 @@ def test_capture_shapes_and_directions():
         expected = (M, M) if amap.direction == "horizontal" else (3, 3)
         assert amap.weights.shape == expected
         np.testing.assert_allclose(amap.weights.sum(axis=1), np.ones(expected[0]), atol=1e-6)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_counted_score_entries_are_the_ones_forward_forms(mode, monkeypatch):
+    # count_attention_cost counts one head's scores for one window: a
+    # horizontal layer forms N maps of M x M scores, a vertical one M of N x N
+    cfg = small_config(mode=mode, L=3)
+    B, N = 2, 3
+    params = build(cfg, rng(24))
+    softmax_sizes = []
+    softmax = Tensor.softmax
+
+    def counting_softmax(self, axis=-1):
+        softmax_sizes.append(self.size)
+        return softmax(self, axis)
+
+    monkeypatch.setattr(Tensor, "softmax", counting_softmax)
+    _, maps = forward(rng(25).normal(size=(B, 32, N)), params, cfg, capture_attention=True)
+    cost = count_attention_cost(cfg.M, N, cfg.D, cfg.mode, cfg.L)
+    from_maps = sum(
+        m.weights.size * (N if m.direction == "horizontal" else cfg.M) for m in maps
+    )
+    assert [m.direction for m in maps] == sequence_directions(cfg.mode, cfg.L)
+    assert from_maps == cost.score_entries
+    assert sum(softmax_sizes) == B * cfg.H * cost.score_entries
 
 
 def test_capture_single_head_equals_raw_weights():

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from gridcast.data import SplitSpec, chronological_split, standardize, synthetic_sines
-from gridcast.errors import ConfigError, DivergenceError, GridcastError, ShapeError
+from gridcast.errors import ConfigError, DivergenceError, GridcastError, NumericError, ShapeError
 from gridcast.model import ModelConfig, build, forward
 from gridcast.tensor import Tensor
 from gridcast.train import (
@@ -265,6 +265,22 @@ def test_train_lr_zero_val_constant():
     assert report.epochs_run == 3
 
 
+def test_a_frozen_step_builds_no_graph(monkeypatch):
+    losses = []
+
+    def recording_mse(pred, target):
+        losses.append(mse(pred, target))
+        return losses[-1]
+
+    monkeypatch.setattr(importlib.import_module("gridcast.train"), "mse", recording_mse)
+    cfg, params, datasets = tiny_setup(seed=9)
+    train(params, cfg, datasets, TrainHyper(lr=0.0, batch_size=32, max_epochs=1))
+    assert losses and all(loss._node is None for loss in losses)
+    losses.clear()
+    train(params, cfg, datasets, TrainHyper(lr=1e-3, batch_size=32, max_epochs=1))
+    assert losses and all(loss._node is not None for loss in losses)
+
+
 def test_single_step_decreases_batch_loss():
     from gridcast.data import make_windows
     from gridcast.train import OptimState
@@ -391,7 +407,20 @@ def test_train_divergence_aborts_with_diagnostics():
     with pytest.raises(DivergenceError) as err:
         train(params, cfg, datasets, hyper)
     msg = str(err.value)
-    assert "epoch 0" in msg and "lr" in msg
+    assert "loss=inf" in msg and "epoch 0 step 0" in msg and "lr=0.001" in msg
+
+
+def test_train_divergence_in_attention_names_softmax():
+    # a non-finite score stops softmax, which checks its input, inside the
+    # first step's forward; the abort carries the same diagnostics
+    cfg, params, datasets = tiny_setup(seed=14)
+    params.layers[0].w_query.data[0, 0, 0] = np.nan
+    hyper = TrainHyper(lr=1e-3, batch_size=32, max_epochs=1, seed=14)
+    with pytest.raises(DivergenceError) as err:
+        train(params, cfg, datasets, hyper)
+    msg = str(err.value)
+    assert "softmax input" in msg and "epoch 0 step 0" in msg and "lr=0.001" in msg
+    assert isinstance(err.value.__cause__, NumericError)
 
 
 def test_train_variate_sampling_counts():
