@@ -12,7 +12,6 @@ import argparse
 import csv
 import ctypes
 import dataclasses
-import io
 import json
 import os
 import sys
@@ -29,6 +28,7 @@ from gridcast.config import (
 from gridcast.data import (
     SplitSpec,
     borrow_prefix,
+    check_windows,
     chronological_split,
     load_csv,
     save_stats,
@@ -42,6 +42,7 @@ from gridcast.model import (
     load_checkpoint,
     save_checkpoint,
     write_atomic,
+    write_csv,
 )
 from gridcast.tensor import no_grad
 from gridcast.train import evaluate, persistence_baseline, train
@@ -105,22 +106,23 @@ def _splits_for(run: RunConfig, splits, T: int) -> tuple:
     return borrow_prefix(*splits, T) if run.data_borrow_prefix else splits
 
 
-def _configs(run: RunConfig, key: str, values: List[int]) -> list:
-    """One (run, ModelConfig) per value of ``model.<key>``, each checked."""
+def _configs(run: RunConfig, key: str, values: List[int], splits) -> list:
+    """One (run, ModelConfig) per value of ``model.<key>``, each checked, as
+    is the fit of its window into every split."""
     runs = [dataclasses.replace(run, model={**run.model, key: v}) for v in values]
-    return [(r, r.to_model_config()) for r in runs]
+    configs = [(r, r.to_model_config()) for r in runs]
+    for _, cfg in configs:
+        check_windows(_splits_for(run, splits, cfg.T), cfg.T, cfg.F)
+    return configs
 
 
-def _write_results(path_or_none, rows: List[list], extra_columns=()) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(RESULTS_HEADER + list(extra_columns))
-    writer.writerows(rows)
-    text = buf.getvalue()
-    if path_or_none:
-        with write_atomic(path_or_none, newline="") as fh:
-            fh.write(text)
-    return text
+def _output(rows: List[list], path, echo: bool = True) -> None:
+    """Write the CSV table ``rows`` to ``path`` if one is given, and to stdout
+    if ``echo`` is set or there is no path."""
+    if path:
+        write_csv(path, rows)
+    if echo or not path:
+        csv.writer(sys.stdout).writerows(rows)
 
 
 def _result_row(dataset, cfg, ratio, seed, mse_value, mae_value, wall_s) -> list:
@@ -143,9 +145,7 @@ def _fit(run: RunConfig, cfg, hyper, ds, splits, tag: str) -> list:
     into out.dir and return the model's results row."""
     params = build(cfg)
     log_path = os.path.join(run.out_dir, f"epochs_{tag}.jsonl")
-    report = train(
-        params, cfg, _splits_for(run, splits, cfg.T), dataclasses.replace(hyper, log_path=log_path)
-    )
+    report = train(params, cfg, _splits_for(run, splits, cfg.T), hyper, log_path=log_path)
     save_checkpoint(os.path.join(run.out_dir, f"model_{tag}.ckpt"), params, cfg)
     with write_atomic(os.path.join(run.out_dir, f"report_{tag}.json")) as fh:
         json.dump(dataclasses.asdict(report), fh, indent=2)
@@ -165,14 +165,13 @@ def cmd_train(args) -> int:
         _int_list(args.horizon_sweep, "--horizon-sweep") if args.horizon_sweep else [run.model["F"]]
     )
     ds, splits, stats = _prepare_splits(run)
-    configs = _configs(run, "F", horizons)
+    configs = _configs(run, "F", horizons, splits)
     hyper = run.to_hyper()
     os.makedirs(run.out_dir, exist_ok=True)
     save_stats(stats, os.path.join(run.out_dir, "train_stats.csv"))
     save_run_config(run, os.path.join(run.out_dir, "config.txt"))
     rows = [_fit(run, cfg, hyper, ds, splits, f"F{cfg.F}") for _, cfg in configs]
-    text = _write_results(os.path.join(run.out_dir, "results.csv"), rows)
-    sys.stdout.write(text)
+    _output([RESULTS_HEADER, *rows], os.path.join(run.out_dir, "results.csv"))
     return 0
 
 
@@ -189,8 +188,7 @@ def cmd_eval(args) -> int:
         row = _result_row(ds.name, cfg, 1.0, run.seed, p_mse, p_mae, 0.0)
         row[3] = "persistence"
         rows.append(row)
-    text = _write_results(args.out_file, rows)
-    sys.stdout.write(text)
+    _output([RESULTS_HEADER, *rows], args.out_file)
     return 0
 
 
@@ -209,17 +207,8 @@ def cmd_forecast(args) -> int:
     win = _load_window(args, cfg)
     with no_grad():
         pred, _ = forward(win.values[None], params, cfg)
-    out = pred.data[0]  # [F, N]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    for row in out:
-        writer.writerow([repr(float(v)) for v in row])
-    text = buf.getvalue()
-    if args.out_file:
-        with write_atomic(args.out_file, newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    rows = [[repr(float(v)) for v in row] for row in pred.data[0]]  # [F, N]
+    _output(rows, args.out_file, echo=False)
     return 0
 
 
@@ -238,15 +227,14 @@ def cmd_lookback_sweep(args) -> int:
     run = _resolve_config(args)
     lengths = _int_list(args.lengths, "--lengths")
     ds, splits, _ = _prepare_splits(run)
-    configs = _configs(run, "T", lengths)
+    configs = _configs(run, "T", lengths, splits)
     hyper = run.to_hyper()
     os.makedirs(run.out_dir, exist_ok=True)
     rows = []
     for run_T, cfg in configs:
         save_run_config(run_T, os.path.join(run.out_dir, f"config_T{cfg.T}.txt"))
         rows.append(_fit(run, cfg, hyper, ds, splits, f"T{cfg.T}") + [cfg.M])
-    text = _write_results(os.path.join(run.out_dir, "sweep.csv"), rows, extra_columns=["M"])
-    sys.stdout.write(text)
+    _output([RESULTS_HEADER + ["M"], *rows], os.path.join(run.out_dir, "sweep.csv"))
     return 0
 
 

@@ -2,9 +2,9 @@
 
 Lines starting with ``#`` are comments. The ``model.*`` keys are the fields of
 ``ModelConfig`` and the ``train.*`` keys those of ``TrainHyper``, minus the
-run-wide ``seed`` and the per-model log path: their names, order, types and
-defaults come from the dataclasses, and ``RunConfig`` holds them as one dict
-per section (``run.model["T"]``, ``run.train["lr"]``). Values are typed by
+run-wide ``seed``: their names, order, types and defaults come from the
+dataclasses, and ``RunConfig`` holds them as one dict per section
+(``run.model["T"]``, ``run.train["lr"]``). Values are typed by
 the field they set (int, float, bool, or string); serialization uses repr
 for floats so a parse -> serialize -> parse cycle is lossless. Command-line
 overrides use the same ``key=value`` syntax.
@@ -21,7 +21,7 @@ from gridcast.train import TrainHyper
 
 _SECTIONS = {
     "model": {f.name: f for f in fields(ModelConfig) if f.name != "seed"},
-    "train": {f.name: f for f in fields(TrainHyper) if f.name not in ("seed", "log_path")},
+    "train": {f.name: f for f in fields(TrainHyper) if f.name != "seed"},
 }
 
 
@@ -53,8 +53,8 @@ class RunConfig:
     def to_model_config(self) -> ModelConfig:
         return ModelConfig(**self.model, seed=self.seed)
 
-    def to_hyper(self, log_path: Optional[str] = None) -> TrainHyper:
-        return TrainHyper(**self.train, seed=self.seed, log_path=log_path)
+    def to_hyper(self) -> TrainHyper:
+        return TrainHyper(**self.train, seed=self.seed)
 
     def columns(self, which: str) -> Optional[list]:
         """``data.<which>_columns`` as ``parse_columns`` splits it."""

@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from gridcast.errors import DataError
-from gridcast.model import write_atomic
+from gridcast.model import write_csv
 
 ColumnKey = Union[int, str]
 
@@ -232,11 +232,9 @@ def standardize(
 
 
 def save_stats(stats: VariateStats, path) -> None:
-    with write_atomic(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variate_index", "mean", "std"])
-        for i, (m, s) in enumerate(zip(stats.mean, stats.std)):
-            writer.writerow([i, repr(float(m)), repr(float(s))])
+    pairs = enumerate(zip(stats.mean, stats.std))
+    rows = [[i, repr(float(m)), repr(float(s))] for i, (m, s) in pairs]
+    write_csv(path, [["variate_index", "mean", "std"], *rows])
 
 
 def n_windows(timesteps: int, T: int, F: int) -> int:
@@ -246,6 +244,16 @@ def n_windows(timesteps: int, T: int, F: int) -> int:
             f"split too short: {timesteps} steps cannot host lookback {T} + horizon {F}"
         )
     return timesteps - T - F + 1
+
+
+def check_windows(splits: tuple, T: int, F: int) -> None:
+    """Raise ``DataError`` naming the first of the (train, val, test)
+    ``splits`` too short to host one window of lookback T and horizon F."""
+    for tag, ds in zip(("train", "val", "test"), splits):
+        try:
+            n_windows(ds.timesteps, T, F)
+        except DataError as exc:
+            raise DataError(f"{tag} {exc}") from None
 
 
 def make_windows(

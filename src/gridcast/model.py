@@ -177,13 +177,8 @@ def export_attention(maps: Optional[List[AttentionMap]], out_dir) -> list:
     paths = []
     for amap in maps:
         path = os.path.join(out_dir, f"attention_layer{amap.layer_index}_{amap.direction}.csv")
-        with write_atomic(path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row_index", "col_index", "weight"])
-            rows, cols = amap.weights.shape
-            for i in range(rows):
-                for j in range(cols):
-                    writer.writerow([i, j, repr(float(amap.weights[i, j]))])
+        cells = [[i, j, repr(float(w))] for (i, j), w in np.ndenumerate(amap.weights)]
+        write_csv(path, [["row_index", "col_index", "weight"], *cells])
         paths.append(path)
     return paths
 
@@ -205,6 +200,13 @@ def write_atomic(path, mode: str = "w", **open_kwargs):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_csv(path, rows) -> None:
+    """Write ``rows``, header first, as one CSV table through ``write_atomic``:
+    fields as ``str`` gives them, lines ending in CRLF."""
+    with write_atomic(path, newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def state_arrays(params: ModelParams) -> dict:

@@ -18,7 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from gridcast.attention import count_attention_cost
-from gridcast.data import TimeSeriesDataset, make_windows, n_windows
+from gridcast.data import TimeSeriesDataset, check_windows, make_windows
 from gridcast.errors import (
     ConfigError,
     DivergenceError,
@@ -167,7 +167,6 @@ class TrainHyper:
     clip_norm: float = 5.0
     variate_ratio: float = 1.0
     seed: int = 0
-    log_path: Optional[str] = None
 
     def __post_init__(self):
         if not self.lr >= 0:  # a negative rate climbs the loss
@@ -201,7 +200,7 @@ class TrainReport:
     wall_time_s: float = 0.0
     peak_rss_mb: float = 0.0
     variate_ratio: float = 1.0
-    vertical_entries_per_batch: int = 0
+    vertical_entries_per_batch: int = 0  # in a full batch of train.batch_size windows
     steps: int = 0
 
 
@@ -228,6 +227,7 @@ def train(
     config: ModelConfig,
     datasets: tuple,
     hyper: TrainHyper,
+    log_path: Optional[str] = None,
 ) -> TrainReport:
     """Adam training with early stopping on validation MSE.
 
@@ -235,11 +235,11 @@ def train(
     optional variate subset is redrawn per batch and applied to inputs,
     targets, and therefore the vertical attention width. The best-validation
     parameters are restored into ``params`` before test evaluation. Non-finite
-    loss aborts with diagnostics.
+    loss aborts with diagnostics. Given a ``log_path``, each epoch's record is
+    streamed to it as one JSON line.
     """
+    check_windows(datasets, config.T, config.F)
     train_ds, val_ds, test_ds = datasets
-    for tag, ds in (("train", train_ds), ("val", val_ds), ("test", test_ds)):
-        n_windows(ds.timesteps, config.T, config.F)  # raises "split too short"
 
     t0 = time.monotonic()
     rng = np.random.default_rng(hyper.seed)
@@ -247,13 +247,12 @@ def train(
     optim = OptimState(lr=hyper.lr)
     named = params.named_parameters()
     n_active = max(1, round(hyper.variate_ratio * train_ds.channels))
+    cost = count_attention_cost(config.M, n_active, config.D, config.mode, config.L)
     report = TrainReport(
         variate_ratio=hyper.variate_ratio,
-        vertical_entries_per_batch=count_attention_cost(
-            config.M, n_active, config.D, config.mode, config.L
-        ).vertical_entries,
+        vertical_entries_per_batch=hyper.batch_size * cost.vertical_entries,
     )
-    log_fh = open(hyper.log_path, "w") if hyper.log_path else None
+    log_fh = open(log_path, "w") if log_path else None
     usage = resource.getrusage(resource.RUSAGE_SELF)
     best = _snapshot(params)
     best_val = float("inf")

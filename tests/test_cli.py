@@ -533,6 +533,19 @@ def test_lookback_sweep_rejects_short_length(workspace, tmp_path, capsys):
         (["train", "--set", "model.norm_over=batch_and_tokens"], "unknown config key"),
         (["train", "--set", "train.patience=0"], "train.patience"),
         (["train", "--set", "model.N=4"], "unknown config key 'model.N'"),
+        # 700 rows at 8:1:1 leave val and test 70 steps each
+        (["train", "--set", "data.split=8:1:1"], "val split too short: 70 steps"),
+        (
+            ["lookback-sweep", "--lengths", "32,100", "--set", "data.split=8:1:1"],
+            "val split too short: 70 steps cannot host lookback 100",
+        ),
+        (
+            [
+                "train", "--set", "data.split=8:1:1", "--set", "data.borrow_prefix=true",
+                "--set", "model.F=80",
+            ],
+            "val split too short: 166 steps",  # 70 + the T=96 borrowed
+        ),
     ],
 )
 def test_malformed_setting_is_one_line_usage_error(argv, named, workspace, tmp_path, capsys):
@@ -546,6 +559,44 @@ def test_malformed_setting_is_one_line_usage_error(argv, named, workspace, tmp_p
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
     assert not out.exists() or not any(out.iterdir())  # nothing written before the check
+
+
+# -- printed tables ----------------------------------------------------------
+
+
+def _assert_prints_table(printed, table, models):
+    """``printed`` is one ``trained ...`` line per model, then ``table``."""
+    assert printed.endswith(table) and "\r\n" in table
+    head = printed[: len(printed) - len(table)].splitlines()
+    assert len(head) == models and all(line.startswith("trained ") for line in head)
+
+
+def test_printed_tables_equal_the_files_written(workspace, tmp_path, capsys):
+    cfg, ckpt = str(workspace["cfg"]), str(workspace["out"] / "model_F8.ckpt")
+    capsys.readouterr()
+    out = tmp_path / "train"
+    argv = ["train", "--config", cfg, "--out", str(out), "--set", "train.max_epochs=1"]
+    assert main(argv + ["--horizon-sweep", "8,4"]) == 0
+    _assert_prints_table(capsys.readouterr().out, (out / "results.csv").read_bytes().decode(), 2)
+
+    out = tmp_path / "sweep"
+    argv = ["lookback-sweep", "--config", cfg, "--out", str(out), "--set", "train.max_epochs=1"]
+    assert main(argv + ["--lengths", "24,32"]) == 0
+    _assert_prints_table(capsys.readouterr().out, (out / "sweep.csv").read_bytes().decode(), 2)
+
+    metrics = tmp_path / "metrics.csv"
+    argv = ["eval", "--config", cfg, "--checkpoint", ckpt, "--persistence"]
+    assert main(argv + ["--out-file", str(metrics)]) == 0
+    assert capsys.readouterr().out == metrics.read_bytes().decode()
+
+    window, _ = window_csv(workspace, tmp_path)
+    forecast = tmp_path / "forecast.csv"
+    argv = ["forecast", "--checkpoint", ckpt, "--window", str(window)]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main(argv + ["--out-file", str(forecast)]) == 0
+    assert capsys.readouterr().out == ""  # the file or stdout, not both
+    assert printed == forecast.read_bytes().decode() and "\r\n" in printed
 
 
 # -- output paths and atomic writes ------------------------------------------

@@ -105,10 +105,7 @@ def test_to_model_config_carries_seed():
 
 def test_to_hyper_mapping():
     run = parse_run_config("train.lr = 0.005\ntrain.batch_size = 8\ntrain.patience = 2\nseed = 4\n")
-    hyper = run.to_hyper(log_path="x.jsonl")
-    assert hyper.lr == 0.005 and hyper.batch_size == 8
-    assert hyper.patience == 2 and hyper.seed == 4
-    assert hyper.log_path == "x.jsonl"
+    assert run.to_hyper() == TrainHyper(lr=0.005, batch_size=8, patience=2, seed=4)
 
 
 def test_column_lists():
@@ -191,9 +188,9 @@ def test_written_config_parses_to_equal_model_config_and_hyper():
         T=48, F=12, P=8, S=4, D=24, H=3, L=3, D_ff=40, dropout=0.1,
         mode="time_first", seed=11,
     )
-    assert run.to_hyper("x.jsonl") == TrainHyper(
+    assert run.to_hyper() == TrainHyper(
         lr=0.0003, batch_size=8, max_epochs=3, patience=2, clip_norm=1.5,
-        variate_ratio=0.5, seed=11, log_path="x.jsonl",
+        variate_ratio=0.5, seed=11,
     )
     assert serialize_run_config(run) == WRITTEN_TEXT
 
@@ -201,9 +198,7 @@ def test_written_config_parses_to_equal_model_config_and_hyper():
 def test_section_keys_are_the_dataclass_fields():
     run = RunConfig()
     assert list(run.model) == [f.name for f in fields(ModelConfig) if f.name != "seed"]
-    assert list(run.train) == [
-        f.name for f in fields(TrainHyper) if f.name not in ("seed", "log_path")
-    ]
+    assert list(run.train) == [f.name for f in fields(TrainHyper) if f.name != "seed"]
     assert len(run.model) == 10
     for key in ("model.seed", "model.norm_over", "model.N", "train.seed", "train.log_path", "data.frequency"):
         with pytest.raises(ConfigError, match="unknown config key"):

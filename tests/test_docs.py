@@ -1,14 +1,18 @@
-"""The demos run, and the README's imports are the package's public surface."""
+"""The demos run, the README's imports are the package's public surface, and
+its artifacts table names what ``gridcast train`` writes."""
 
 import os
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gridcast
 from gridcast.attention import MODES
+from gridcast.cli import main
+from gridcast.data import synthetic_sines
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = sorted(name for name in os.listdir(os.path.join(ROOT, "demos")) if name.endswith(".py"))
@@ -64,3 +68,25 @@ def test_readme_lists_the_sequencing_modes():
         readme = fh.read()
     (sentence,) = re.findall(r"Sequencing\s+modes:(.*?);", readme, flags=re.DOTALL)
     assert tuple(re.findall(r"`(\w+)`", sentence)) == MODES
+
+
+def test_readme_artifacts_table_names_the_files_train_writes(tmp_path):
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    section = readme.split("### Artifacts", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+    patterns = [re.escape(name).replace(re.escape("<F>"), r"\d+") for name in names]
+    assert names and len(set(names)) == len(names), names
+    data = tmp_path / "sines.csv"
+    np.savetxt(data, synthetic_sines(200, n_variates=2).values, delimiter=",")
+    out = tmp_path / "out"
+    settings = "model.T=16 model.F=4 model.P=8 model.S=4 model.D=8 model.H=2 model.L=1"
+    argv = ["train", "--data", str(data), "--out", str(out), "--set", "train.max_epochs=1"]
+    for setting in settings.split():
+        argv += ["--set", setting]
+    assert main(argv) == 0
+    written = sorted(os.listdir(out))
+    for name in written:
+        assert sum(bool(re.fullmatch(p, name)) for p in patterns) == 1, name
+    for name, pattern in zip(names, patterns):
+        assert any(re.fullmatch(pattern, w) for w in written), name

@@ -307,8 +307,8 @@ def test_single_step_decreases_batch_loss():
 def test_train_improves_and_reports(tmp_path):
     cfg, params, datasets = tiny_setup(seed=11)
     log = tmp_path / "epochs.jsonl"
-    hyper = TrainHyper(lr=1e-3, batch_size=32, max_epochs=3, patience=5, seed=11, log_path=str(log))
-    report = train(params, cfg, datasets, hyper)
+    hyper = TrainHyper(lr=1e-3, batch_size=32, max_epochs=3, patience=5, seed=11)
+    report = train(params, cfg, datasets, hyper, log_path=str(log))
     assert report.epochs_run == 3
     assert report.train_loss[-1] < report.train_loss[0]
     assert np.isfinite(report.test_mse) and report.test_mse >= 0
@@ -427,12 +427,13 @@ def test_train_variate_sampling_counts():
     cfg, params, datasets = tiny_setup(seed=15)
     hyper = TrainHyper(lr=1e-3, batch_size=32, max_epochs=1, variate_ratio=0.5, seed=15)
     report = train(params, cfg, datasets, hyper)
-    # alternate mode, L=2: one vertical layer; M patches, 2 of 4 variates
-    assert report.vertical_entries_per_batch == cfg.M * 2 * 2
+    # alternate mode, L=2: one vertical layer; M patches, 2 of 4 variates,
+    # 32 windows per batch
+    assert report.vertical_entries_per_batch == cfg.M * 2 * 2 * 32
     full = train(
         build(cfg, rng(15)), cfg, datasets, TrainHyper(lr=1e-3, max_epochs=1, seed=15)
     )
-    assert full.vertical_entries_per_batch == cfg.M * 4 * 4
+    assert full.vertical_entries_per_batch == cfg.M * 4 * 4 * 32
     assert report.vertical_entries_per_batch * 4 == full.vertical_entries_per_batch
     assert report.variate_ratio == 0.5
 
