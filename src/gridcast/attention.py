@@ -7,15 +7,19 @@ Both directions run the same ``encoder_layer`` over the trailing [L x D] axes:
 horizontal on the grid viewed as [B x N x M x D], vertical on the grid as it
 is, which equals transpose -> horizontal -> transpose without the permutes.
 
-The attention core is cache-blocked, after the tiling of FlashAttention (Dao
-et al., arXiv 2205.14135): ``multi_head`` splits its G groups into blocks
-whose [rows, H, L, L] scores fit ``SCORE_BLOCK_BYTES`` and runs scores ->
-softmax -> weighted sum on one block at a time, so the score-sized arrays of
-the forward and of the backward stay in cache instead of streaming through
-memory (a [192, 4, 128, 128] score array is 100 MB). This is the only
-attention path: every group is independent, so each value and gradient is
-the same bit for bit as on the whole array, and a score array that fits the
-budget is one block whose graph is the unblocked one, node for node.
+The attention core softmax(Qs Kt) V is one graph node per layer,
+``attention_core``, cache-blocked after the tiling of FlashAttention (Dao et
+al., arXiv 2205.14135): it splits the G groups into blocks whose
+[rows, H, L, L] scores fit ``SCORE_BLOCK_BYTES`` and runs scores -> softmax
+-> weighted sum on one block at a time, so the score-sized arrays stay in
+cache instead of streaming through memory (a [192, 4, 128, 128] score array
+is 100 MB). The node keeps Q, K and V, which the graph holds anyway, and no
+weights: its vjp recomputes each block's weights with the same kernels on
+the same block views, as FlashAttention's backward does and as the
+activation checkpointing of Chen et al. (arXiv 1604.06174) does per layer.
+So a training forward leaves no N x N array for backward, every weight
+repeats bit for bit, and every group is independent, so each value and
+gradient is the same bit for bit as on the whole array.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from gridcast.errors import ConfigError, ShapeError
-from gridcast.tensor import BatchNormState, Tensor, batch_norm, dropout
+from gridcast.tensor import BatchNormState, Tensor, batch_norm, dropout, no_grad
 
 DIRECTIONS = ("horizontal", "vertical")
 # layer orders; the last two attend in one direction only, the paper's ablations
@@ -34,8 +38,9 @@ MODES = ("channel_first", "time_first", "alternate", "horizontal_only", "vertica
 
 # Largest [rows, H, L, L] float64 score block one attention step forms: a
 # quarter of a 2 MB per-core L2. Forward holds a block's scores and weights,
-# backward its weights, their gradient and one softmax temporary, so these
-# stay in cache from Q K^T through softmax to the weighted sum.
+# backward recomputes them and adds their gradient and one softmax
+# temporary, so these stay in cache from Q K^T through softmax to the
+# weighted sum. No block's weights outlive the step that formed them.
 SCORE_BLOCK_BYTES = 512 * 1024
 
 
@@ -144,6 +149,55 @@ def project_heads(x: Tensor, w: Tensor) -> Tensor:
     return Tensor._make(out, (x, w), vjp)
 
 
+def score_blocks(G: int, H: int, L: int) -> list:
+    """Slices of the G groups, in order, each the most groups whose
+    [rows, H, L, L] float64 scores fit ``SCORE_BLOCK_BYTES`` (at least one)."""
+    rows = max(1, SCORE_BLOCK_BYTES // (H * L * L * 8))
+    return [slice(start, min(start + rows, G)) for start in range(0, G, rows)]
+
+
+def attention_core(Qs: Tensor, Kt: Tensor, V: Tensor, capture: Optional[list] = None) -> Tensor:
+    """softmax(Qs @ Kt) @ V for [G, H, L, d_k] queries Qs (already scaled),
+    [G, H, d_k, L] keys Kt and [G, H, L, d_v] values V, as one graph node.
+
+    Forward runs ``(q @ kt).softmax(axis=-1) @ v`` under ``no_grad`` on each
+    block of ``score_blocks``. The node keeps only Qs, Kt and V. Its vjp
+    re-forms each block's weights with a graph, writes V's gradient
+    ``w^T g`` and pulls ``g v^T`` back through the softmax and the scores by
+    ``Tensor.backward(grad)``: the same kernels on the same views as the
+    forward and as ``@``'s vjp, so every weight and gradient repeats bit for
+    bit. It forms all three gradients, since in the model all three depend
+    on trained weights. When ``capture`` is a list, the weights
+    [G, H, L, L] are appended to it as a plain array.
+    """
+    q, kt, v = Qs.data, Kt.data, V.data
+    G, H, L, _ = q.shape
+    blocks = score_blocks(G, H, L)
+    outs, weights = [], []
+    with no_grad():
+        for b in blocks:
+            w = (Tensor(q[b]) @ Tensor(kt[b])).softmax(axis=-1)
+            outs.append((w @ Tensor(v[b])).data)
+            if capture is not None:
+                weights.append(w.data)
+    if capture is not None:
+        capture.append(np.concatenate(weights))
+
+    def vjp(g):
+        gq, gk, gv = np.empty(q.shape), np.empty(kt.shape), np.empty(v.shape)
+        with no_grad(False):  # backward may run inside no_grad
+            for b in blocks:
+                qb, kb = Tensor(q[b], requires_grad=True), Tensor(kt[b], requires_grad=True)
+                w = (qb @ kb).softmax(axis=-1)
+                gv[b] = np.matmul(np.swapaxes(w.data, -1, -2), g[b])
+                w.backward(np.matmul(g[b], np.swapaxes(v[b], -1, -2)))
+                gq[b], gk[b] = qb.grad, kb.grad
+        return gq, gk, gv
+
+    out = outs[0] if len(outs) == 1 else np.concatenate(outs)
+    return Tensor._make(out, (Qs, Kt, V), vjp)
+
+
 def multi_head(x: Tensor, params: AttentionParams, capture: Optional[list] = None) -> Tensor:
     """Multi-head attention over the trailing [L x D] axes of ``x``.
 
@@ -155,12 +209,9 @@ def multi_head(x: Tensor, params: AttentionParams, capture: Optional[list] = Non
     Q, K and V are [G, H, L, d_k], each one ``project_heads`` GEMM over all
     G*L tokens. The queries are scaled by 1/sqrt(d_k) once, which is cheaper
     than scaling the [.., L, L] scores, and the keys transposed once. Then
-    softmax(Qs Kt) V runs on one row block of groups at a time, each block's
-    [rows, H, L, L] scores within ``SCORE_BLOCK_BYTES``:
-    ``Tensor.rows`` cuts the blocks as views whose gradients backward
-    scatters into one buffer, and ``Tensor.concat_rows`` joins the block
-    outputs. When all G groups fit one block, the slice and the join return
-    their input, so the graph holds no node beyond the attention ops.
+    ``attention_core`` runs softmax(Qs Kt) V one block of groups at a time,
+    forward and backward, each block's [rows, H, L, L] scores within
+    ``SCORE_BLOCK_BYTES``; no weights outlive the forward.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     L, D = x.shape[-2], x.shape[-1]
@@ -173,25 +224,9 @@ def multi_head(x: Tensor, params: AttentionParams, capture: Optional[list] = Non
     Q = project_heads(xg, params.w_query)  # [G, H, L, d_k]
     K = project_heads(xg, params.w_key)
     V = project_heads(xg, params.w_value)
-    # scale and transpose once; per block they would add two graph nodes
-    Qs, Kt = Q * (1.0 / np.sqrt(d_k)), K.permute(0, 1, 3, 2)
-    rows = max(1, SCORE_BLOCK_BYTES // (H * L * L * Q.data.itemsize))
-    outs, block_weights = [], []
-    for start in range(0, G, rows):
-        stop = min(start + rows, G)
-        weights = (Qs.rows(start, stop) @ Kt.rows(start, stop)).softmax(axis=-1)
-        outs.append(weights @ V.rows(start, stop))
-        if capture is not None:
-            block_weights.append(weights.data)
-    # free the scaled queries before the output projection allocates: without
-    # a graph nothing else holds them, and a forward then allocates and frees
-    # in the same order as unblocked attention did
-    del Qs, Kt
-    att = Tensor.concat_rows(outs)  # [G, H, L, d_v]
+    att = attention_core(Q * (1.0 / np.sqrt(d_k)), K.permute(0, 1, 3, 2), V, capture)
     d_v = params.w_value.shape[-1]
     cat = att.permute(0, 2, 1, 3).reshape(G, L, H * d_v)
-    if capture is not None:
-        capture.append(np.concatenate(block_weights))
     return (cat @ params.w_out).reshape(*orig)
 
 

@@ -180,6 +180,7 @@ def cmd_eval(args) -> int:
     run = _resolve_config(args)
     ds, splits, _ = _prepare_splits(run)
     te = _splits_for(run, splits, cfg.T)[2]
+    check_windows((te,), cfg.T, cfg.F, tags=("test",))
     t0 = time.monotonic()
     mse_value, mae_value = evaluate(params, cfg, te, batch_size=run.to_hyper().batch_size)
     rows = [_result_row(ds.name, cfg, 1.0, run.seed, mse_value, mae_value, time.monotonic() - t0)]

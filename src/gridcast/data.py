@@ -246,10 +246,11 @@ def n_windows(timesteps: int, T: int, F: int) -> int:
     return timesteps - T - F + 1
 
 
-def check_windows(splits: tuple, T: int, F: int) -> None:
-    """Raise ``DataError`` naming the first of the (train, val, test)
-    ``splits`` too short to host one window of lookback T and horizon F."""
-    for tag, ds in zip(("train", "val", "test"), splits):
+def check_windows(splits: tuple, T: int, F: int, tags: tuple = ("train", "val", "test")) -> None:
+    """Raise ``DataError`` naming the first of the ``splits`` (by default
+    train, val and test) too short to host one window of lookback T and
+    horizon F."""
+    for tag, ds in zip(tags, splits):
         try:
             n_windows(ds.timesteps, T, F)
         except DataError as exc:

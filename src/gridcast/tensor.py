@@ -13,12 +13,16 @@ returns None, which ``backward()`` skips, for a parent that needs none, and
 forms no product for it. So ``h * 0.5`` keeps nothing of ``h``, and
 ``Tensor(patches) @ W`` keeps the patches for W's gradient but not W. A node
 does not refer to its output tensor, so an intermediate tensor that no caller
-holds, such as the raw attention scores that softmax consumes or a residual
-sum fed to batch_norm, is freed as soon as its forward use ends. A leaf's node
-refers to its tensor weakly: the tensor owns the node, never the reverse, and
-a leaf nobody holds any more simply receives no gradient. Dropping the root
-of a graph (the loss and every tensor computed on the way to it) frees the
-whole graph by reference counting.
+holds, such as a residual sum fed to batch_norm, is freed as soon as its
+forward use ends. A leaf's node refers to its tensor weakly: the tensor owns
+the node, never the reverse, and a leaf nobody holds any more simply receives
+no gradient. Dropping the root of a graph (the loss and every tensor computed
+on the way to it) frees the whole graph by reference counting.
+
+A vjp may also recompute what it needs rather than keep it: it can rebuild a
+small graph from the arrays it kept and pull its gradient back with
+``backward(grad)``, which seeds a non-scalar root. ``attention.attention_core``
+keeps Q, K and V this way and no attention weights.
 """
 
 from __future__ import annotations
@@ -35,12 +39,16 @@ _GRAD_ENABLED = True
 
 
 class no_grad:
-    """Context manager that disables graph construction inside the block."""
+    """Context manager that disables graph construction inside the block;
+    ``no_grad(False)`` enables it there instead."""
+
+    def __init__(self, disable: bool = True):
+        self._enabled = not disable
 
     def __enter__(self):
         global _GRAD_ENABLED
         self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        _GRAD_ENABLED = self._enabled
         return self
 
     def __exit__(self, *exc):
@@ -114,18 +122,6 @@ class _Node:
         self.vjp = vjp
         self.parents = parents
         self.leaf = leaf
-
-
-class _RowGrad:
-    """What a row slice's vjp sends its parent: ``g`` for rows [start, stop)
-    of a parent of ``shape``, zero elsewhere. ``backward()`` scatters it into
-    one buffer per parent, so slicing a tensor into k blocks costs one
-    parent-sized buffer rather than k zero-padded ones."""
-
-    __slots__ = ("start", "stop", "shape", "g")
-
-    def __init__(self, start: int, stop: int, shape: tuple, g: np.ndarray):
-        self.start, self.stop, self.shape, self.g = start, stop, shape, g
 
 
 class Tensor:
@@ -319,43 +315,6 @@ class Tensor:
 
         return Tensor._make(self.data.transpose(axes), (self,), vjp)
 
-    def rows(self, start: int, stop: int) -> "Tensor":
-        """Rows [start, stop) of axis 0, as a view of this tensor's data.
-
-        All rows are this tensor itself, so slicing it whole adds no node.
-        """
-        if self.ndim == 0 or not 0 <= start < stop <= self.shape[0]:
-            raise ShapeError(f"row slice [{start}:{stop}] invalid for shape {self.shape}")
-        shape = self.shape
-        if stop - start == shape[0]:
-            return self
-
-        def vjp(g):
-            return (_RowGrad(start, stop, shape, g),)
-
-        return Tensor._make(self.data[start:stop], (self,), vjp)
-
-    @staticmethod
-    def concat_rows(parts) -> "Tensor":
-        """Concatenate along axis 0; the vjp hands each part a view of g.
-
-        A single part is returned as it is, with no node and no copy.
-        """
-        parts = tuple(parts)
-        if len(parts) == 1:
-            return parts[0]
-        try:
-            data = np.concatenate([p.data for p in parts], axis=0)
-        except ValueError as exc:
-            shapes = [p.shape for p in parts]
-            raise ShapeError(f"cannot concatenate rows of shapes {shapes}") from exc
-        bounds = np.cumsum([0] + [p.shape[0] for p in parts]).tolist()
-
-        def vjp(g):
-            return tuple(g[a:b] for a, b in zip(bounds, bounds[1:]))
-
-        return Tensor._make(data, parts, vjp)
-
     # -- nonlinearities ------------------------------------------------------
 
     def softmax(self, axis: int = -1) -> "Tensor":
@@ -420,17 +379,26 @@ class Tensor:
 
     # -- backward pass -------------------------------------------------------
 
-    def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into every requires_grad leaf.
+    def backward(self, grad=None) -> None:
+        """Accumulate d(self)/d(leaf), seeded with ``grad``, into every
+        requires_grad leaf.
 
-        Gradients flow through a per-call accumulator, so calling backward
-        twice on the same graph adds exactly twice the gradient. A row
-        slice's gradient is added into its parent's buffer in place; a buffer
-        that a vjp returned is copied first, since it may be another
-        parent's gradient too.
+        Without ``grad`` the tensor must be a scalar and the seed is 1;
+        ``grad`` of this tensor's shape backpropagates a vector-Jacobian
+        product, as ``(self * Tensor(grad)).sum().backward()`` would, bit for
+        bit. Gradients flow through a per-call accumulator, so calling
+        backward twice on the same graph adds exactly twice the gradient. A
+        vjp may build and walk a graph of its own, as ``attention_core``
+        does to recompute its weights.
         """
-        if self.size != 1:
-            raise ShapeError(f"backward requires a scalar, got shape {self.shape}")
+        if grad is None:
+            if self.size != 1:
+                raise ShapeError(f"backward requires a scalar, got shape {self.shape}")
+            grad = np.ones_like(self.data)
+        else:
+            grad = _as_array(grad)
+            if grad.shape != self.shape:
+                raise ShapeError(f"seed gradient shape {grad.shape} != tensor shape {self.shape}")
         if not self.requires_grad:
             return
         root = self._grad_node()
@@ -450,8 +418,7 @@ class Tensor:
                 if parent is not None:
                     stack.append((parent, False))
 
-        flowing: dict[int, np.ndarray] = {id(root): np.ones_like(self.data)}
-        owned: set[int] = set()  # keys whose buffer backward allocated itself
+        flowing: dict[int, np.ndarray] = {id(root): grad}
         for node in reversed(ordered):
             g = flowing.pop(id(node), None)
             if g is None:
@@ -462,24 +429,9 @@ class Tensor:
                     leaf.grad = g if leaf.grad is None else leaf.grad + g
                 continue
             for parent, pg in zip(node.parents, node.vjp(g)):
-                if parent is None:
-                    continue
-                key = id(parent)
-                held = flowing.get(key)
-                if type(pg) is _RowGrad:
-                    if held is None:
-                        held = np.zeros(pg.shape)
-                    elif key not in owned:
-                        # a vjp may have handed this same array to another parent
-                        held = held.copy()
-                    held[pg.start:pg.stop] += pg.g
-                    owned.add(key)
-                elif held is not None:
-                    held = held + pg
-                    owned.add(key)
-                else:
-                    held = pg
-                flowing[key] = held
+                if parent is not None:
+                    held = flowing.get(id(parent))
+                    flowing[id(parent)] = pg if held is None else held + pg
 
 
 # -- layers built from the primitives ---------------------------------------

@@ -14,7 +14,8 @@ import zlib
 
 import numpy as np
 
-from gridcast.attention import project_heads, sequence_directions
+import gridcast.attention as attention
+from gridcast.attention import attention_core, project_heads, sequence_directions
 from gridcast.errors import ShapeError
 from gridcast.tensor import BatchNormState, Tensor, batch_norm, dropout
 from gridcast.train import mse
@@ -145,8 +146,9 @@ def mse_composite(pred, target):
 
 def scaled_dot_attention(Q, K, V):
     """Unblocked softmax(Q K^T / sqrt(d_k)) V over any leading batch axes, as
-    one graph of the library's ops; returns (output, weights). A single block
-    of ``multi_head`` builds exactly this graph."""
+    one graph of the library's ops; returns (output, weights). ``multi_head``'s
+    ``attention_core`` gives its values and gradients bit for bit at any
+    block size."""
     d_k = Q.shape[-1]
     axes = tuple(range(K.ndim - 2)) + (K.ndim - 1, K.ndim - 2)
     weights = ((Q * (1.0 / np.sqrt(d_k))) @ K.permute(*axes)).softmax(axis=-1)
@@ -189,6 +191,21 @@ def softmax_three_temporaries(x, axis=-1):
 # -- finite-difference cases -------------------------------------------------
 
 
+# Qs [G, H, L, d_k], Kt [G, H, d_k, L], V [G, H, L, d_v] and a weight on the output
+ATTENTION_SHAPES = [(3, 2, 4, 3), (3, 2, 3, 4), (3, 2, 4, 2), (3, 2, 4, 2)]
+
+
+def one_group_per_block(op, *args):
+    """``op(*args)`` with a score budget that holds one attention group per
+    block; the op's vjp keeps the blocks its forward ran."""
+    saved = attention.SCORE_BLOCK_BYTES
+    attention.SCORE_BLOCK_BYTES = 1
+    try:
+        return op(*args)
+    finally:
+        attention.SCORE_BLOCK_BYTES = saved
+
+
 # (name, f, input shapes): f maps the input Tensors to a scalar. Every
 # function of the package that makes a graph node is run by at least one
 # case; tests/test_tensor.py checks that.
@@ -200,16 +217,16 @@ OP_CASES = [
     ("mse", lambda ts: mse(ts[0], ts[1]), [(3, 2, 4), (3, 2, 4)]),
     ("pow", lambda ts: ((ts[0] * ts[0] + 1.0) ** 1.5).sum(), [(6,)]),
     (
-        "rows",  # two overlapping slices of one tensor, so its gradient sums both
-        lambda ts: (ts[0].rows(1, 4) * ts[1]).sum() + (ts[0].rows(0, 2) ** 2).sum(),
-        [(5, 3), (3, 3)],
+        "attention_core",  # [G=3, H=2, L=4, d=3] in one block
+        lambda ts: (attention_core(ts[0], ts[1], ts[2]) * ts[3]).sum(),
+        ATTENTION_SHAPES,
     ),
     ("matmul", lambda ts: ((ts[0] @ ts[1]) ** 2).sum(), [(3, 4), (4, 2)]),
     ("matmul_batched", lambda ts: ((ts[0] @ ts[1]) ** 2).sum(), [(2, 3, 4), (4, 2)]),
     (
-        "concat_rows",
-        lambda ts: (Tensor.concat_rows([ts[0], ts[1]]) ** 2 * ts[2]).sum(),
-        [(2, 3), (1, 3), (3, 3)],
+        "attention_core_blocked",  # the same, one group per block
+        lambda ts: (one_group_per_block(attention_core, *ts[:3]) * ts[3]).sum(),
+        ATTENTION_SHAPES,
     ),
     ("reshape", lambda ts: (ts[0].reshape(6) * ts[0].reshape(6)).sum(), [(2, 3)]),
     ("permute", lambda ts: ((ts[0].permute(1, 0) @ ts[1]) ** 2).sum(), [(3, 4), (3, 2)]),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from gridcast.attention import (
     AttentionParams,
     apply_horizontal,
     apply_vertical,
+    attention_core,
     count_attention_cost,
     encoder_layer,
     grid_transpose,
@@ -19,7 +22,7 @@ from gridcast.attention import (
 )
 from gridcast.errors import ConfigError, ShapeError
 from gridcast.model import ModelConfig, build, forward
-from gridcast.tensor import BatchNormState, Tensor, batch_norm, grad_check
+from gridcast.tensor import BatchNormState, Tensor, batch_norm, grad_check, no_grad
 from oracles import mean, scaled_dot_attention
 
 
@@ -258,16 +261,24 @@ def test_blocked_encoder_layer_is_bit_identical(monkeypatch):
     grid = rng(26).normal(size=(1, 7, 5, 8))
     whole = run_vertical_layer(grid)
     monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", block_budget(3, H=2, L=5))
-    slices = []
-    real_rows = Tensor.rows
+    bounds, score_groups = [], []
+    real_blocks, real_softmax = attention.score_blocks, Tensor.softmax
 
-    def counted_rows(t, start, stop):
-        slices.append((start, stop))
-        return real_rows(t, start, stop)
+    def recorded_blocks(G, H, L):
+        blocks = real_blocks(G, H, L)
+        bounds.extend((b.start, b.stop) for b in blocks)
+        return blocks
 
-    monkeypatch.setattr(Tensor, "rows", counted_rows)
+    def recorded_softmax(t, axis=-1):
+        score_groups.append(t.shape[0])
+        return real_softmax(t, axis)
+
+    monkeypatch.setattr(attention, "score_blocks", recorded_blocks)
+    monkeypatch.setattr(Tensor, "softmax", recorded_softmax)
     blocked = run_vertical_layer(grid)
-    assert sorted(set(slices)) == [(0, 3), (3, 6), (6, 7)] and len(slices) == 9
+    assert bounds == [(0, 3), (3, 6), (6, 7)]
+    # forward forms each block's weights, backward forms them once more
+    assert score_groups == [3, 3, 1] * 2
     assert (blocked[0] == whole[0]).all()
     assert len(blocked[1]) == 1 and blocked[1][0].shape == (7, 2, 5, 5)
     assert (blocked[1][0] == whole[1][0]).all()
@@ -290,25 +301,56 @@ def graph_nodes(t):
     return len(seen)
 
 
-def test_one_block_builds_the_unblocked_graph():
-    # every group of [H=2, L=5, L] scores fits one block, so multi_head must
-    # build exactly the graph of the unblocked reference and its gradients
+def test_one_block_builds_the_unblocked_graph(monkeypatch):
+    # multi_head builds the graph of the unblocked reference with one
+    # attention_core node in place of its matmul, softmax and matmul, and
+    # gives its values and gradients bit for bit at any block budget: one
+    # block, then one group per block
     p = make_params(D=4, H=2, seed=28)
     x = Tensor(rng(28).normal(size=(3, 5, 4)), requires_grad=True)
-    out = multi_head(x, p)
     xg = x.reshape(3, 5, 4)
     att, _ = scaled_dot_attention(*(project_heads(xg, w) for w in (p.w_query, p.w_key, p.w_value)))
     ref = (att.permute(0, 2, 1, 3).reshape(3, 5, 4) @ p.w_out).reshape(3, 5, 4)
-    assert (out.data == ref.data).all()
-    assert graph_nodes(out) == graph_nodes(ref)
-    grads = []
-    for y in (out, ref):
-        for t in [x] + [t for _, t in p.named()]:
-            t.zero_grad()
-        (y * y).sum().backward()
-        grads.append([x.grad, p.w_query.grad, p.w_key.grad, p.w_value.grad, p.w_out.grad])
-    for got, want in zip(*grads):
-        assert (got == want).all()
+    for budget in (attention.SCORE_BLOCK_BYTES, 1):
+        monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", budget)
+        out = multi_head(x, p)
+        assert (out.data == ref.data).all()
+        assert (graph_nodes(out), graph_nodes(ref)) == (16, 18)
+        grads = []
+        for y in (out, ref):
+            for t in [x] + [t for _, t in p.named()]:
+                t.zero_grad()
+            (y * y).sum().backward()
+            grads.append([x.grad, p.w_query.grad, p.w_key.grad, p.w_value.grad, p.w_out.grad])
+        for got, want in zip(*grads):
+            assert (got == want).all()
+
+
+def test_attention_core_keeps_no_weights_and_recomputes_them_under_no_grad():
+    # the node keeps Q, K and V, which its caller holds anyway, and none of
+    # the [2, 2, 64, 64] weights (131 KB) its forward formed; backward
+    # re-forms them, inside no_grad too, and gives the same gradients
+    r = rng(29)
+    Qs, Kt, V = (Tensor(r.normal(size=s), requires_grad=True)
+                 for s in ((2, 2, 64, 2), (2, 2, 2, 64), (2, 2, 64, 2)))
+    g = r.normal(size=(2, 2, 64, 2))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = attention_core(Qs, Kt, V)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < out.data.nbytes + 8192
+    with no_grad():
+        out.backward(g)
+    want = []
+    for t in (Qs, Kt, V):
+        want.append(t.grad)
+        t.zero_grad()
+    attention_core(Qs, Kt, V).backward(g)
+    for t, w in zip((Qs, Kt, V), want):
+        assert w is not None and (t.grad == w).all()
 
 
 def test_blocked_forward_captures_one_map_per_layer(monkeypatch):

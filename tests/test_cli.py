@@ -511,6 +511,9 @@ def test_lookback_sweep_rejects_short_length(workspace, tmp_path, capsys):
     assert "patch length" in capsys.readouterr().err
 
 
+CHECKPOINT = "<workspace checkpoint>"  # stands for the workspace's model_F8.ckpt
+
+
 @pytest.mark.parametrize(
     "argv,named",
     [
@@ -546,12 +549,19 @@ def test_lookback_sweep_rejects_short_length(workspace, tmp_path, capsys):
             ],
             "val split too short: 166 steps",  # 70 + the T=96 borrowed
         ),
+        # eval reads the test split only: 22 of 700 rows at 30:1:1, for the
+        # workspace's T=24, F=8 checkpoint
+        (
+            ["eval", "--checkpoint", CHECKPOINT, "--set", "data.split=30:1:1"],
+            "test split too short: 22 steps cannot host lookback 24 + horizon 8",
+        ),
     ],
 )
 def test_malformed_setting_is_one_line_usage_error(argv, named, workspace, tmp_path, capsys):
     # the default model settings (P=16, D=16), so each case is bad at one setting
     out = tmp_path / "o"
-    command, *rest = argv
+    ckpt = str(workspace["out"] / "model_F8.ckpt")
+    command, *rest = (ckpt if arg == CHECKPOINT else arg for arg in argv)
     capsys.readouterr()
     code = main([command, "--data", str(workspace["data"]), "--out", str(out), *rest])
     assert code == 2

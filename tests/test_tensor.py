@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import gridcast
 import oracles
-from gridcast.attention import project_heads
+from gridcast import attention
+from gridcast.attention import attention_core, project_heads
 from gridcast.errors import NumericError, ShapeError
 from gridcast.tensor import (
     BatchNormState,
@@ -337,93 +338,69 @@ def test_reshape_count_mismatch():
         Tensor(np.zeros(12)).reshape(5, 3)
 
 
-# -- row slice / row concat --------------------------------------------------
+# -- attention core row blocks ----------------------------------------------
 
 
-def test_rows_is_a_view_and_concat_rebuilds_bit_exact():
-    x = Tensor(rng(30).normal(size=(7, 3, 2)))
-    parts = [x.rows(0, 3), x.rows(3, 6), x.rows(6, 7)]
-    assert all(np.shares_memory(p.data, x.data) for p in parts)
-    assert [p.shape[0] for p in parts] == [3, 3, 1]
-    assert (Tensor.concat_rows(parts).data == x.data).all()
-
-
-def test_whole_rows_and_a_single_concat_part_are_the_tensor_itself():
-    x = Tensor(rng(30).normal(size=(4, 3)), requires_grad=True)
-    assert x.rows(0, 4) is x
-    assert Tensor.concat_rows([x]) is x
-    assert Tensor.concat_rows(iter([x])) is x
-
-
-@pytest.mark.parametrize("start,stop", [(0, 0), (2, 1), (-1, 2), (0, 5)])
-def test_rows_invalid_bounds(start, stop):
-    with pytest.raises(ShapeError):
-        Tensor(np.zeros((4, 3))).rows(start, stop)
-
-
-def test_rows_rejects_a_scalar_and_concat_rejects_mismatched_rows():
-    with pytest.raises(ShapeError):
-        Tensor(1.0).rows(0, 1)
-    with pytest.raises(ShapeError):
-        Tensor.concat_rows([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4)))])
-
-
-@pytest.mark.parametrize("shape", [(5, 3), (5, 2, 3, 2)])
-def test_grad_check_rows_overlapping_slices(shape):
-    # rows 1-3 are read by both slices, so their gradients add in one buffer
-    r = rng(31)
-    x = Tensor(r.normal(size=shape))
-    w = Tensor(r.normal(size=(3,) + shape[1:]))
-
-    def fn(ts):
-        return (ts[0].rows(1, 4) * w).sum() + (ts[0].rows(0, 3) ** 2).sum()
-
-    assert grad_check(fn, [x]) < 1e-3
-
-
-@pytest.mark.parametrize("shape", [(2, 3), (2, 2, 3, 2)])
-def test_grad_check_concat_rows(shape):
-    # the first part appears twice, so its two views of g add up
+@pytest.mark.parametrize("shape", [(3, 2, 4, 3), (5, 1, 3, 2)])
+def test_grad_check_concat_rows(shape, monkeypatch):
+    # blocks of two groups leave a last block of one: the output joins the
+    # blocks' rows, and backward writes each block's rows of all three gradients
+    G, H, L, d = shape
+    monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", 2 * H * L * L * 8)
+    assert [b.stop - b.start for b in attention.score_blocks(G, H, L)][-1] == 1
     r = rng(32)
-    a = Tensor(r.normal(size=shape))
-    b = Tensor(r.normal(size=(1,) + shape[1:]))
-    w = Tensor(r.normal(size=(2 * shape[0] + 1,) + shape[1:]))
+    qs = Tensor(r.normal(size=shape))
+    kt = Tensor(r.normal(size=(G, H, d, L)))
+    v = Tensor(r.normal(size=(G, H, L, 2)))
+    w = Tensor(r.normal(size=(G, H, L, 2)))
 
     def fn(ts):
-        return (Tensor.concat_rows([ts[0], ts[1], ts[0]]) ** 2 * w).sum()
+        return (attention_core(*ts) ** 2 * w).sum()
 
-    assert grad_check(fn, [a, b]) < 1e-3
+    assert grad_check(fn, [qs, kt, v]) < 1e-3
 
 
-def test_row_slice_scatter_copies_a_gradient_another_parent_holds():
-    # __add__ hands the same g array to x and z; the row slice of x then adds
-    # into x's gradient, which must not write into z's
+def test_row_slice_scatter_copies_a_gradient_another_parent_holds(monkeypatch):
+    # __add__ hands the same g array to x and z; attention_core then writes
+    # V's gradient one row block at a time and it adds into x's gradient,
+    # which must not write into z's
+    monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", 1)
     r = rng(33)
-    x = Tensor(r.normal(size=(4, 3)), requires_grad=True)
-    z = Tensor(r.normal(size=(4, 3)), requires_grad=True)
-    w = r.normal(size=(4, 3))
-    u = r.normal(size=(2, 3))
-    loss = ((x + z) * Tensor(w)).sum() + (x.rows(1, 3) * Tensor(u)).sum()
+    qs = Tensor(r.normal(size=(3, 2, 4, 3)))
+    kt = Tensor(r.normal(size=(3, 2, 3, 4)))
+    x = Tensor(r.normal(size=(3, 2, 4, 2)), requires_grad=True)
+    z = Tensor(r.normal(size=(3, 2, 4, 2)), requires_grad=True)
+    w = r.normal(size=(3, 2, 4, 2))
+    u = r.normal(size=(3, 2, 4, 2))
+    loss = ((x + z) * Tensor(w)).sum() + (attention_core(qs, kt, x) * Tensor(u)).sum()
     loss.backward()
-    expected_x = w.copy()
-    expected_x[1:3] += u
+    v = Tensor(x.data.copy(), requires_grad=True)
+    attention_core(qs, kt, v).backward(u)
     assert (z.grad == w).all()
-    assert (x.grad == expected_x).all()
+    assert (x.grad == w + v.grad).all()
 
 
-def test_row_slices_backward_builds_one_parent_sized_buffer():
-    # sixteen slices of a 1 MiB tensor: a zero-padded full-size gradient per
-    # slice would peak near three times its size
-    x = Tensor(np.ones((64, 128, 16)), requires_grad=True)
-    loss = sum(x.rows(i, i + 4).sum() for i in range(0, 64, 4))
+def test_row_slices_backward_builds_one_parent_sized_buffer(monkeypatch):
+    # sixteen row blocks of 0.5 MiB inputs: a zero-padded full-size gradient
+    # per block would peak near sixteen times their size
+    r = rng(34)
+    shapes = [(16, 2, 32, 64), (16, 2, 64, 32), (16, 2, 32, 64)]
+    data = [r.normal(size=s) for s in shapes]
+    whole = [Tensor(a, requires_grad=True) for a in data]
+    attention_core(*whole).sum().backward()
+
+    monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", 1)
+    blocked = [Tensor(a, requires_grad=True) for a in data]
+    loss = attention_core(*blocked).sum()
     tracemalloc.start()
     try:
         loss.backward()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (x.grad == 1.0).all()
-    assert peak < 1.5 * x.data.nbytes
+    for b, t in zip(blocked, whole):
+        assert (b.grad == t.grad).all()
+    assert peak < 1.5 * sum(a.nbytes for a in data)
 
 
 # -- backward ----------------------------------------------------------------
@@ -550,6 +527,30 @@ def test_backward_rejects_non_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ShapeError):
         (x * 2).backward()
+
+
+def test_backward_rejects_a_seed_of_another_shape():
+    x = Tensor(np.ones(3), requires_grad=True)
+    for seed in (np.ones(4), np.ones((3, 1)), 1.0):
+        with pytest.raises(ShapeError):
+            (x * 2).backward(seed)
+
+
+def test_seeded_backward_equals_the_weighted_sum():
+    # y.backward(g) pulls g back as (y * g).sum().backward() does, bit for bit
+    r = rng(34)
+    a_data, b_data, g = r.normal(size=(2, 3, 4)), r.normal(size=(4, 5)), r.normal(size=(2, 3, 5))
+    grads = []
+    for seeded in (True, False):
+        A, B = Tensor(a_data, requires_grad=True), Tensor(b_data, requires_grad=True)
+        y = (A @ B).softmax(axis=-1).gelu()
+        if seeded:
+            y.backward(g)
+        else:
+            (y * Tensor(g)).sum().backward()
+        grads.append((A.grad, B.grad))
+    for got, want in zip(*grads):
+        assert (got == want).all()
 
 
 def test_backward_shared_subexpression():
