@@ -7,19 +7,19 @@ Both directions run the same ``encoder_layer`` over the trailing [L x D] axes:
 horizontal on the grid viewed as [B x N x M x D], vertical on the grid as it
 is, which equals transpose -> horizontal -> transpose without the permutes.
 
-The attention core softmax(Qs Kt) V is one graph node per layer,
-``attention_core``, cache-blocked after the tiling of FlashAttention (Dao et
-al., arXiv 2205.14135): it splits the G groups into blocks whose
+Each layer's heads, softmax(Q K^T / sqrt(d_k)) V, are one graph node per
+layer, ``attention_heads``, cache-blocked after the tiling of FlashAttention
+(Dao et al., arXiv 2205.14135): it splits the G groups into blocks whose
 [rows, H, L, L] scores fit ``SCORE_BLOCK_BYTES`` and runs scores -> softmax
 -> weighted sum on one block at a time, so the score-sized arrays stay in
 cache instead of streaming through memory (a [192, 4, 128, 128] score array
-is 100 MB). The node keeps Q, K and V, which the graph holds anyway, and no
-weights: its vjp recomputes each block's weights with the same kernels on
-the same block views, as FlashAttention's backward does and as the
-activation checkpointing of Chen et al. (arXiv 1604.06174) does per layer.
-So a training forward leaves no N x N array for backward, every weight
-repeats bit for bit, and every group is independent, so each value and
-gradient is the same bit for bit as on the whole array.
+is 100 MB). The node keeps the layer input, which the graph holds anyway,
+and no Q, K, V or weights: its vjp recomputes them with the same kernels on
+the same views, as FlashAttention's backward does and as the activation
+checkpointing of Chen et al. (arXiv 1604.06174) does per layer. So a
+training forward leaves no N x N array for backward, every weight repeats
+bit for bit, and every group is independent, so each value and gradient is
+the same bit for bit as on the whole array.
 """
 
 from __future__ import annotations
@@ -119,36 +119,6 @@ class AttentionMap:
             raise ShapeError("attention map rows must sum to 1")
 
 
-def project_heads(x: Tensor, w: Tensor) -> Tensor:
-    """Every head's projection ``x @ w[h]`` of x [..., L, D] by w [H, D, d],
-    as one [G, H, L, d] graph node, G collapsing the leading axes of x.
-
-    The product runs as a single [G*L, D] x [D, H*d] GEMM, and backward as
-    two: the broadcast ``x[:, None] @ w`` calls BLAS once per group and head
-    on [L, D] x [D, d] matrices, and its weight gradient stacks G*H tiny
-    products into a [G, H, D, d] temporary before summing it. The output is a
-    view of the GEMM's [G, L, H, d] result; the stored [H, D, d] weights keep
-    their layout. A strided x is copied to [G*L, D] rows, so callers that
-    project one input several times reshape it once first.
-    """
-    L, D = x.shape[-2], x.shape[-1]
-    H, D_in, d = w.shape
-    if D != D_in:
-        raise ShapeError(f"input width {D} != parameter width {D_in}")
-    G = x.size // (L * D)
-    x_shape = x.shape
-    x2 = x.data.reshape(G * L, D)
-    w2 = w.data.transpose(1, 0, 2).reshape(D, H * d)
-
-    def vjp(g):
-        g2 = g.transpose(0, 2, 1, 3).reshape(G * L, H * d)
-        gw = (x2.T @ g2).reshape(D, H, d).transpose(1, 0, 2)
-        return (g2 @ w2.T).reshape(x_shape), gw
-
-    out = (x2 @ w2).reshape(G, L, H, d).transpose(0, 2, 1, 3)
-    return Tensor._make(out, (x, w), vjp)
-
-
 def score_blocks(G: int, H: int, L: int) -> list:
     """Slices of the G groups, in order, each the most groups whose
     [rows, H, L, L] float64 scores fit ``SCORE_BLOCK_BYTES`` (at least one)."""
@@ -156,23 +126,12 @@ def score_blocks(G: int, H: int, L: int) -> list:
     return [slice(start, min(start + rows, G)) for start in range(0, G, rows)]
 
 
-def attention_core(Qs: Tensor, Kt: Tensor, V: Tensor, capture: Optional[list] = None) -> Tensor:
-    """softmax(Qs @ Kt) @ V for [G, H, L, d_k] queries Qs (already scaled),
-    [G, H, d_k, L] keys Kt and [G, H, L, d_v] values V, as one graph node.
-
-    Forward runs ``(q @ kt).softmax(axis=-1) @ v`` under ``no_grad`` on each
-    block of ``score_blocks``. The node keeps only Qs, Kt and V. Its vjp
-    re-forms each block's weights with a graph, writes V's gradient
-    ``w^T g`` and pulls ``g v^T`` back through the softmax and the scores by
-    ``Tensor.backward(grad)``: the same kernels on the same views as the
-    forward and as ``@``'s vjp, so every weight and gradient repeats bit for
-    bit. It forms all three gradients, since in the model all three depend
-    on trained weights. When ``capture`` is a list, the weights
-    [G, H, L, L] are appended to it as a plain array.
-    """
-    q, kt, v = Qs.data, Kt.data, V.data
-    G, H, L, _ = q.shape
-    blocks = score_blocks(G, H, L)
+def attend_blocks(q, kt, v, blocks: list, capture: Optional[list] = None) -> np.ndarray:
+    """softmax(q @ kt) @ v for [G, H, L, d_k] queries q (already scaled),
+    [G, H, d_k, L] keys kt and [G, H, L, d_v] values v, run as
+    ``(q @ kt).softmax(axis=-1) @ v`` under ``no_grad`` on each block of
+    groups in ``blocks``. When ``capture`` is a list, the weights
+    [G, H, L, L] are appended to it."""
     outs, weights = [], []
     with no_grad():
         for b in blocks:
@@ -182,50 +141,91 @@ def attention_core(Qs: Tensor, Kt: Tensor, V: Tensor, capture: Optional[list] = 
                 weights.append(w.data)
     if capture is not None:
         capture.append(np.concatenate(weights))
+    return outs[0] if len(outs) == 1 else np.concatenate(outs)
+
+
+def attend_blocks_vjp(q, kt, v, blocks: list, g: np.ndarray) -> tuple:
+    """The gradients of q, kt and v for ``attend_blocks``'s output gradient g.
+
+    Re-forms each block's weights with a graph, writes v's gradient
+    ``w^T g`` and pulls ``g v^T`` back through the softmax and the scores by
+    ``Tensor.backward(grad)``: the kernels and views of the forward and of
+    ``@``'s vjp, so every weight and gradient repeats bit for bit.
+    """
+    gq, gk, gv = np.empty(q.shape), np.empty(kt.shape), np.empty(v.shape)
+    with no_grad(False):  # backward may run inside no_grad
+        for b in blocks:
+            qb, kb = Tensor(q[b], requires_grad=True), Tensor(kt[b], requires_grad=True)
+            w = (qb @ kb).softmax(axis=-1)
+            gv[b] = np.matmul(np.swapaxes(w.data, -1, -2), g[b])
+            w.backward(np.matmul(g[b], np.swapaxes(v[b], -1, -2)))
+            gq[b], gk[b] = qb.grad, kb.grad
+    return gq, gk, gv
+
+
+def attention_heads(
+    xg: Tensor, w_query: Tensor, w_key: Tensor, w_value: Tensor, capture: Optional[list] = None
+) -> Tensor:
+    """Every head's softmax(Q K^T / sqrt(d_k)) V for xg [G, L, D], with
+    Q, K, V = xg @ w[h] for w_query, w_key [H, D, d_k] and w_value [H, D, d_v],
+    as one [G, H, L, d_v] graph node that keeps xg's rows and the three
+    [D, H*d] weight matrices, not Q, K or V.
+
+    Each projection is one [G*L, D] x [D, H*d] GEMM (a broadcast
+    ``xg[:, None] @ w`` would call BLAS per group and head), the queries are
+    scaled once, not the [.., L, L] scores, and ``attend_blocks`` runs the
+    core. The vjp recomputes Q, K and V with the same GEMMs, runs
+    ``attend_blocks_vjp`` and adds xg's three gradients in the order separate
+    nodes would, (Q + K) + V, so every value and gradient repeats bit for
+    bit. ``capture`` is passed to ``attend_blocks``.
+    """
+    G, L, D = xg.shape
+    H, d_k = w_query.shape[0], w_query.shape[-1]
+    for w in (w_query, w_key, w_value):
+        if w.shape[1] != D:
+            raise ShapeError(f"input width {D} != parameter width {w.shape[1]}")
+    x2 = xg.data.reshape(G * L, D)
+    w2s = [w.data.transpose(1, 0, 2).reshape(D, -1) for w in (w_query, w_key, w_value)]
+    scale = 1.0 / np.sqrt(d_k)
+
+    def project():
+        # each output a view of its GEMM's [G, L, H, d] result
+        q, k, v = ((x2 @ w2).reshape(G, L, H, -1).transpose(0, 2, 1, 3) for w2 in w2s)
+        return q * scale, k.transpose(0, 1, 3, 2), v
+
+    blocks = score_blocks(G, H, L)
+    out = attend_blocks(*project(), blocks, capture)
 
     def vjp(g):
-        gq, gk, gv = np.empty(q.shape), np.empty(kt.shape), np.empty(v.shape)
-        with no_grad(False):  # backward may run inside no_grad
-            for b in blocks:
-                qb, kb = Tensor(q[b], requires_grad=True), Tensor(kt[b], requires_grad=True)
-                w = (qb @ kb).softmax(axis=-1)
-                gv[b] = np.matmul(np.swapaxes(w.data, -1, -2), g[b])
-                w.backward(np.matmul(g[b], np.swapaxes(v[b], -1, -2)))
-                gq[b], gk[b] = qb.grad, kb.grad
-        return gq, gk, gv
+        gq, gk, gv = attend_blocks_vjp(*project(), blocks, g)
+        gq *= scale
+        gx, gw = [], []
+        for gh, w2 in zip((gq, gk.transpose(0, 1, 3, 2), gv), w2s):
+            g2 = gh.transpose(0, 2, 1, 3).reshape(G * L, -1)
+            gw.append((x2.T @ g2).reshape(D, H, -1).transpose(1, 0, 2))
+            gx.append((g2 @ w2.T).reshape(G, L, D))
+        return ((gx[0] + gx[1]) + gx[2], *gw)
 
-    out = outs[0] if len(outs) == 1 else np.concatenate(outs)
-    return Tensor._make(out, (Qs, Kt, V), vjp)
+    return Tensor._make(out, (xg, w_query, w_key, w_value), vjp)
 
 
 def multi_head(x: Tensor, params: AttentionParams, capture: Optional[list] = None) -> Tensor:
     """Multi-head attention over the trailing [L x D] axes of ``x``.
 
-    Per-head outputs are concatenated and projected by w_out. When
-    ``capture`` is a list, the attention weights [G x H x L x L], G
-    collapsing all leading axes, are appended to it as a plain array outside
-    the graph.
-
-    Q, K and V are [G, H, L, d_k], each one ``project_heads`` GEMM over all
-    G*L tokens. The queries are scaled by 1/sqrt(d_k) once, which is cheaper
-    than scaling the [.., L, L] scores, and the keys transposed once. Then
-    ``attention_core`` runs softmax(Qs Kt) V one block of groups at a time,
-    forward and backward, each block's [rows, H, L, L] scores within
-    ``SCORE_BLOCK_BYTES``; no weights outlive the forward.
+    ``attention_heads`` forms every head's output in one graph node, and the
+    heads are concatenated and projected by w_out. When ``capture`` is a
+    list, the attention weights [G x H x L x L], G collapsing all leading
+    axes, are appended to it as a plain array outside the graph.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     L, D = x.shape[-2], x.shape[-1]
-    H, _, d_k = params.w_query.shape
     orig = x.shape
     G = x.size // (L * D)
     # one copy of a strided input (the horizontal layer's transposed grid),
-    # which all three projections then read as a view
+    # whose rows all three projections then read
     xg = x.reshape(G, L, D)
-    Q = project_heads(xg, params.w_query)  # [G, H, L, d_k]
-    K = project_heads(xg, params.w_key)
-    V = project_heads(xg, params.w_value)
-    att = attention_core(Q * (1.0 / np.sqrt(d_k)), K.permute(0, 1, 3, 2), V, capture)
-    d_v = params.w_value.shape[-1]
+    att = attention_heads(xg, params.w_query, params.w_key, params.w_value, capture)
+    H, d_v = params.w_value.shape[0], params.w_value.shape[-1]
     cat = att.permute(0, 2, 1, 3).reshape(G, L, H * d_v)
     return (cat @ params.w_out).reshape(*orig)
 

@@ -129,6 +129,18 @@ def _resolve_columns(keys: Sequence[ColumnKey], names: list) -> list:
     return out
 
 
+def _first_non_utf8(path) -> str:
+    """The first byte of the file at ``path`` that does not decode as UTF-8,
+    and its offset; the text decoder reports it only within its read chunk."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"byte {raw[exc.start]:#04x} at offset {exc.start}"
+    return "the file changed while it was read"
+
+
 def load_csv(
     path,
     value_columns: Optional[Sequence[ColumnKey]] = None,
@@ -142,10 +154,14 @@ def load_csv(
     indices), which is how a leading date column is discarded.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise DataError(f"{path} is not UTF-8 text: {_first_non_utf8(path)}") from None
+    except csv.Error as exc:
+        raise DataError(f"cannot parse {path}: {exc}") from None
     rows = [r for r in rows if r]  # tolerate trailing blank lines
     if not rows:
         raise DataError(f"{path} is empty")

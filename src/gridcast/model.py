@@ -278,8 +278,12 @@ def load_checkpoint(path) -> tuple:
     """Restore (params, config) from ``save_checkpoint`` output."""
     try:
         archive = np.load(path, allow_pickle=False)
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+    except (OSError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
+    except (ValueError, EOFError):  # text, which numpy takes for a pickle, or an empty file
+        archive = None
+    if not isinstance(archive, np.lib.npyio.NpzFile):  # or an .npy file's array
+        raise ConfigError(f"{path} is not a {CHECKPOINT_MAGIC} file")
     with archive:
         try:
             magic = str(archive["__magic__"][()])

@@ -21,8 +21,8 @@ on the way to it) frees the whole graph by reference counting.
 
 A vjp may also recompute what it needs rather than keep it: it can rebuild a
 small graph from the arrays it kept and pull its gradient back with
-``backward(grad)``, which seeds a non-scalar root. ``attention.attention_core``
-keeps Q, K and V this way and no attention weights.
+``backward(grad)``, which seeds a non-scalar root. ``attention.attention_heads``
+keeps its layer input this way, and no Q, K, V or attention weights.
 """
 
 from __future__ import annotations
@@ -388,7 +388,7 @@ class Tensor:
         product, as ``(self * Tensor(grad)).sum().backward()`` would, bit for
         bit. Gradients flow through a per-call accumulator, so calling
         backward twice on the same graph adds exactly twice the gradient. A
-        vjp may build and walk a graph of its own, as ``attention_core``
+        vjp may build and walk a graph of its own, as ``attention_heads``
         does to recompute its weights.
         """
         if grad is None:

@@ -4,9 +4,9 @@ The model oracles are deliberately written as straight-line numpy with
 explicit Python loops over variates, patch steps, tokens, and heads, so they
 share no code path with the library they check. They are inference-mode only
 (norm layers use running statistics, which default to zero mean / unit
-variance). The graph references at the end are the composite or unblocked
-forms of the fused and blocked ops, built from the library's Tensor ops, and
-``OP_CASES`` is the one table of finite-difference checks, a case per
+variance). The graph references at the end are the composite, unfused or
+unblocked forms of the fused and blocked ops, built from the library's Tensor
+ops, and ``OP_CASES`` is the one table of finite-difference checks, a case per
 differentiable op.
 """
 
@@ -15,7 +15,13 @@ import zlib
 import numpy as np
 
 import gridcast.attention as attention
-from gridcast.attention import attention_core, project_heads, sequence_directions
+from gridcast.attention import (
+    attend_blocks,
+    attend_blocks_vjp,
+    attention_heads,
+    score_blocks,
+    sequence_directions,
+)
 from gridcast.errors import ShapeError
 from gridcast.tensor import BatchNormState, Tensor, batch_norm, dropout
 from gridcast.train import mse
@@ -144,10 +150,54 @@ def mse_composite(pred, target):
     return mean((pred - target) ** 2)
 
 
+def project_heads(x, w):
+    """Every head's projection ``x @ w[h]`` of x [..., L, D] by w [H, D, d],
+    as one [G, H, L, d] graph node, G collapsing the leading axes of x.
+
+    One [G*L, D] x [D, H*d] GEMM forward and two backward, as
+    ``attention_heads`` runs each projection; with ``attention_core``, the
+    scale and the keys' permute, the unfused reference for that node.
+    """
+    L, D = x.shape[-2], x.shape[-1]
+    H, D_in, d = w.shape
+    if D != D_in:
+        raise ShapeError(f"input width {D} != parameter width {D_in}")
+    G = x.size // (L * D)
+    x_shape = x.shape
+    x2 = x.data.reshape(G * L, D)
+    w2 = w.data.transpose(1, 0, 2).reshape(D, H * d)
+
+    def vjp(g):
+        g2 = g.transpose(0, 2, 1, 3).reshape(G * L, H * d)
+        gw = (x2.T @ g2).reshape(D, H, d).transpose(1, 0, 2)
+        return (g2 @ w2.T).reshape(x_shape), gw
+
+    out = (x2 @ w2).reshape(G, L, H, d).transpose(0, 2, 1, 3)
+    return Tensor._make(out, (x, w), vjp)
+
+
+def attention_core(Qs, Kt, V, capture=None):
+    """softmax(Qs @ Kt) @ V for [G, H, L, d_k] queries Qs (already scaled),
+    [G, H, d_k, L] keys Kt and [G, H, L, d_v] values V, as one graph node that
+    keeps Qs, Kt and V and runs the package's block loops on them."""
+    q, kt, v = Qs.data, Kt.data, V.data
+    blocks = score_blocks(*q.shape[:3])
+    out = attend_blocks(q, kt, v, blocks, capture)
+    return Tensor._make(out, (Qs, Kt, V), lambda g: attend_blocks_vjp(q, kt, v, blocks, g))
+
+
+def attention_heads_unfused(xg, w_query, w_key, w_value, capture=None):
+    """``attention_heads`` as separate graph nodes: three ``project_heads``,
+    the queries' scale, the keys' permute and ``attention_core``."""
+    Q, K, V = (project_heads(xg, w) for w in (w_query, w_key, w_value))
+    scale = 1.0 / np.sqrt(w_query.shape[-1])
+    return attention_core(Q * scale, K.permute(0, 1, 3, 2), V, capture)
+
+
 def scaled_dot_attention(Q, K, V):
     """Unblocked softmax(Q K^T / sqrt(d_k)) V over any leading batch axes, as
     one graph of the library's ops; returns (output, weights). ``multi_head``'s
-    ``attention_core`` gives its values and gradients bit for bit at any
+    ``attention_heads`` gives its values and gradients bit for bit at any
     block size."""
     d_k = Q.shape[-1]
     axes = tuple(range(K.ndim - 2)) + (K.ndim - 1, K.ndim - 2)
@@ -193,6 +243,8 @@ def softmax_three_temporaries(x, axis=-1):
 
 # Qs [G, H, L, d_k], Kt [G, H, d_k, L], V [G, H, L, d_v] and a weight on the output
 ATTENTION_SHAPES = [(3, 2, 4, 3), (3, 2, 3, 4), (3, 2, 4, 2), (3, 2, 4, 2)]
+# xg [G, L, D], w_query, w_key, w_value [H, D, d] and a weight on the [G, H, L, d] output
+HEADS_SHAPES = [(3, 4, 3), (2, 3, 2), (2, 3, 2), (2, 3, 2), (3, 2, 4, 2)]
 
 
 def one_group_per_block(op, *args):
@@ -244,6 +296,16 @@ OP_CASES = [
         [(10,)],
     ),
     ("project_heads", lambda ts: (project_heads(ts[0], ts[1]) ** 2).sum(), [(2, 3, 4), (2, 4, 3)]),
+    (
+        "attention_heads",  # xg [G=3, L=4, D=3] in one block
+        lambda ts: (attention_heads(*ts[:4]) * ts[4]).sum(),
+        HEADS_SHAPES,
+    ),
+    (
+        "attention_heads_blocked",  # the same, one group per block
+        lambda ts: (one_group_per_block(attention_heads, *ts[:4]) * ts[4]).sum(),
+        HEADS_SHAPES,
+    ),
 ]
 
 

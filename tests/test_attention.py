@@ -12,18 +12,17 @@ from gridcast.attention import (
     AttentionParams,
     apply_horizontal,
     apply_vertical,
-    attention_core,
+    attention_heads,
     count_attention_cost,
     encoder_layer,
     grid_transpose,
     multi_head,
-    project_heads,
     sequence_directions,
 )
 from gridcast.errors import ConfigError, ShapeError
 from gridcast.model import ModelConfig, build, forward
 from gridcast.tensor import BatchNormState, Tensor, batch_norm, grad_check, no_grad
-from oracles import mean, scaled_dot_attention
+from oracles import attention_heads_unfused, mean, project_heads, scaled_dot_attention
 
 
 def rng(seed=0):
@@ -303,9 +302,9 @@ def graph_nodes(t):
 
 def test_one_block_builds_the_unblocked_graph(monkeypatch):
     # multi_head builds the graph of the unblocked reference with one
-    # attention_core node in place of its matmul, softmax and matmul, and
-    # gives its values and gradients bit for bit at any block budget: one
-    # block, then one group per block
+    # attention_heads node in place of its three projections, scale, permute,
+    # matmul, softmax and matmul, and gives its values and gradients bit for
+    # bit at any block budget: one block, then one group per block
     p = make_params(D=4, H=2, seed=28)
     x = Tensor(rng(28).normal(size=(3, 5, 4)), requires_grad=True)
     xg = x.reshape(3, 5, 4)
@@ -315,7 +314,7 @@ def test_one_block_builds_the_unblocked_graph(monkeypatch):
         monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", budget)
         out = multi_head(x, p)
         assert (out.data == ref.data).all()
-        assert (graph_nodes(out), graph_nodes(ref)) == (16, 18)
+        assert (graph_nodes(out), graph_nodes(ref)) == (11, 18)
         grads = []
         for y in (out, ref):
             for t in [x] + [t for _, t in p.named()]:
@@ -326,30 +325,60 @@ def test_one_block_builds_the_unblocked_graph(monkeypatch):
             assert (got == want).all()
 
 
-def test_attention_core_keeps_no_weights_and_recomputes_them_under_no_grad():
-    # the node keeps Q, K and V, which its caller holds anyway, and none of
-    # the [2, 2, 64, 64] weights (131 KB) its forward formed; backward
-    # re-forms them, inside no_grad too, and gives the same gradients
+@pytest.mark.parametrize("rows", [7, 3])
+def test_attention_heads_is_bit_identical_to_the_unfused_nodes(rows, monkeypatch):
+    # the fused node against three project_heads, the scale, the permute and
+    # attention_core: output, the gradients of the input and of all three
+    # weights, and the captured weights, in one block of 7 groups and in
+    # blocks of 3, 3 and 1
+    G, H, L, D = 7, 2, 5, 8
+    monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", block_budget(rows, H, L))
+    p = make_params(D=D, H=H, seed=30)
+    r = rng(30)
+    data = r.normal(size=(G, L, D))
+    g = r.normal(size=(G, H, L, D // H))
+    results = []
+    for heads in (attention_heads, attention_heads_unfused):
+        xg = Tensor(data, requires_grad=True)
+        ws = (p.w_query, p.w_key, p.w_value)
+        for w in ws:
+            w.zero_grad()
+        captured = []
+        out = heads(xg, *ws, captured)
+        out.backward(g)
+        results.append([out.data, xg.grad] + [w.grad for w in ws] + captured)
+    fused, unfused = results
+    assert len(fused) == len(unfused) == 6
+    for got, want in zip(fused, unfused):
+        assert got.shape == want.shape and (got == want).all()
+
+
+def test_attention_heads_keeps_no_projections_or_weights_and_recomputes_them_under_no_grad():
+    # the node keeps the [2, 64, 8] input, which its caller holds anyway, and
+    # its three [8, 16] weight matrices: none of the three [2, 2, 64, 8]
+    # projections (16 KB each) or the [2, 2, 64, 64] weights (131 KB) its
+    # forward formed; backward re-forms them, inside no_grad too, and gives
+    # the same gradients
     r = rng(29)
-    Qs, Kt, V = (Tensor(r.normal(size=s), requires_grad=True)
-                 for s in ((2, 2, 64, 2), (2, 2, 2, 64), (2, 2, 64, 2)))
-    g = r.normal(size=(2, 2, 64, 2))
+    xg = Tensor(r.normal(size=(2, 64, 8)), requires_grad=True)
+    ws = [Tensor(r.normal(size=(2, 8, 8)), requires_grad=True) for _ in range(3)]
+    g = r.normal(size=(2, 2, 64, 8))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out = attention_core(Qs, Kt, V)
+        out = attention_heads(xg, *ws)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert kept < out.data.nbytes + 8192
+    assert kept < out.data.nbytes + sum(w.data.nbytes for w in ws) + 8192
     with no_grad():
         out.backward(g)
     want = []
-    for t in (Qs, Kt, V):
+    for t in (xg, *ws):
         want.append(t.grad)
         t.zero_grad()
-    attention_core(Qs, Kt, V).backward(g)
-    for t, w in zip((Qs, Kt, V), want):
+    attention_heads(xg, *ws).backward(g)
+    for t, w in zip((xg, *ws), want):
         assert w is not None and (t.grad == w).all()
 
 

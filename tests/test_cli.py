@@ -328,6 +328,35 @@ def test_eval_truncated_checkpoint_is_one_line_error(workspace, tmp_path, capsys
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name", ["arr.npy", "empty.ckpt", "data.csv"])
+def test_eval_foreign_checkpoint_is_one_line_error(name, workspace, tmp_path, capsys):
+    ckpt = tmp_path / name
+    if name == "arr.npy":
+        np.save(ckpt, np.ones(3))
+    elif name == "empty.ckpt":
+        ckpt.write_bytes(b"")
+    else:
+        ckpt.write_bytes(workspace["data"].read_bytes())
+    code = main(["eval", "--config", str(workspace["cfg"]), "--checkpoint", str(ckpt)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {ckpt} is not a gridcast-checkpoint-1 file\n"
+
+
+@pytest.mark.parametrize("name", ["latin1.csv", "model.ckpt"])
+def test_train_on_data_that_is_not_utf8_is_one_line_error(name, workspace, tmp_path, capsys):
+    data = tmp_path / name
+    if name == "latin1.csv":
+        data.write_bytes("v0,v1\n1,2\ncaf\xe9,3\n".encode("latin-1"))
+    else:
+        data.write_bytes((workspace["out"] / "model_F8.ckpt").read_bytes())
+    out = tmp_path / "o"
+    code = main(["train", "--data", str(data), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data} is not UTF-8 text: byte 0x") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def _corrupt(archive, case):
     """Damage a checkpoint's arrays (a dict) as ``case`` names."""
     stat = "state/layers.0.norm1.running_"

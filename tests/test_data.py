@@ -86,6 +86,20 @@ def test_load_csv_missing_file(tmp_path):
         load_csv(tmp_path / "nope.csv")
 
 
+def test_load_csv_names_the_first_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("a,b\n1,2\ncaf\xe9,3\n".encode("latin-1"))
+    with pytest.raises(DataError, match=r"latin1.csv is not UTF-8 text: byte 0xe9 at offset 11$"):
+        load_csv(path)
+
+
+def test_load_csv_rejects_a_field_past_the_csv_limit(tmp_path):
+    path = tmp_path / "quote.csv"
+    path.write_text('a,"' + "x" * 200_000 + "\n")
+    with pytest.raises(DataError, match="cannot parse .*quote.csv: field larger than field limit"):
+        load_csv(path)
+
+
 def test_load_csv_rejects_non_finite(tmp_path):
     with pytest.raises(DataError):
         load_csv(write(tmp_path, "1,2\n3,inf\n"))

@@ -364,10 +364,15 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     np.savez(path, stuff=np.ones(3))
     with pytest.raises(ConfigError):
         load_checkpoint(path)
-    text = tmp_path / "junk.bin"
-    text.write_bytes(b"not an archive")
-    with pytest.raises(ConfigError):
-        load_checkpoint(text)
+    # not an archive at all: numpy reads an .npy as an array, an empty file
+    # as EOFError and anything else as pickled data
+    np.save(tmp_path / "arr.npy", np.ones(3))
+    (tmp_path / "empty.ckpt").write_bytes(b"")
+    (tmp_path / "data.csv").write_text("a,b\n1,2\n")
+    (tmp_path / "junk.bin").write_bytes(b"not an archive")
+    for name in ("arr.npy", "empty.ckpt", "data.csv", "junk.bin"):
+        with pytest.raises(ConfigError, match=f"{name} is not a gridcast-checkpoint-1 file"):
+            load_checkpoint(tmp_path / name)
 
 
 def saved_checkpoint(tmp_path):

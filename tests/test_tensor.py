@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import gridcast
 import oracles
 from gridcast import attention
-from gridcast.attention import attention_core, project_heads
+from gridcast.attention import attention_heads
 from gridcast.errors import NumericError, ShapeError
 from gridcast.tensor import (
     BatchNormState,
@@ -25,6 +25,7 @@ from gridcast.tensor import (
     grad_check,
     no_grad,
 )
+from oracles import attention_core, project_heads
 
 
 def rng(seed=0):
@@ -338,51 +339,53 @@ def test_reshape_count_mismatch():
         Tensor(np.zeros(12)).reshape(5, 3)
 
 
-# -- attention core row blocks ----------------------------------------------
+# -- attention row blocks ----------------------------------------------------
 
 
 @pytest.mark.parametrize("shape", [(3, 2, 4, 3), (5, 1, 3, 2)])
 def test_grad_check_concat_rows(shape, monkeypatch):
     # blocks of two groups leave a last block of one: the output joins the
-    # blocks' rows, and backward writes each block's rows of all three gradients
+    # blocks' rows, and backward writes each block's rows of the Q, K and V
+    # gradients before the projections pull them back to the input and weights
     G, H, L, d = shape
     monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", 2 * H * L * L * 8)
     assert [b.stop - b.start for b in attention.score_blocks(G, H, L)][-1] == 1
     r = rng(32)
-    qs = Tensor(r.normal(size=shape))
-    kt = Tensor(r.normal(size=(G, H, d, L)))
-    v = Tensor(r.normal(size=(G, H, L, 2)))
-    w = Tensor(r.normal(size=(G, H, L, 2)))
+    xg = Tensor(r.normal(size=(G, L, 3)))
+    ws = [Tensor(r.normal(size=(H, 3, d))) for _ in range(3)]
+    w = Tensor(r.normal(size=(G, H, L, d)))
 
     def fn(ts):
-        return (attention_core(*ts) ** 2 * w).sum()
+        return (attention_heads(*ts) ** 2 * w).sum()
 
-    assert grad_check(fn, [qs, kt, v]) < 1e-3
+    assert grad_check(fn, [xg, *ws]) < 1e-3
 
 
 def test_row_slice_scatter_copies_a_gradient_another_parent_holds(monkeypatch):
-    # __add__ hands the same g array to x and z; attention_core then writes
-    # V's gradient one row block at a time and it adds into x's gradient,
-    # which must not write into z's
+    # __add__ hands the same g array to the heads and to z, and the same u to
+    # x and y; attention_heads' vjp writes the Q, K and V gradients one row
+    # block at a time and must write into neither g nor x's other gradient
     monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", 1)
     r = rng(33)
-    qs = Tensor(r.normal(size=(3, 2, 4, 3)))
-    kt = Tensor(r.normal(size=(3, 2, 3, 4)))
-    x = Tensor(r.normal(size=(3, 2, 4, 2)), requires_grad=True)
+    x, y = (Tensor(r.normal(size=(3, 4, 3)), requires_grad=True) for _ in range(2))
+    ws = [Tensor(r.normal(size=(2, 3, 2)), requires_grad=True) for _ in range(3)]
     z = Tensor(r.normal(size=(3, 2, 4, 2)), requires_grad=True)
-    w = r.normal(size=(3, 2, 4, 2))
-    u = r.normal(size=(3, 2, 4, 2))
-    loss = ((x + z) * Tensor(w)).sum() + (attention_core(qs, kt, x) * Tensor(u)).sum()
+    g = r.normal(size=(3, 2, 4, 2))
+    u = r.normal(size=(3, 4, 3))
+    loss = ((attention_heads(x, *ws) + z) * Tensor(g)).sum() + ((x + y) * Tensor(u)).sum()
     loss.backward()
-    v = Tensor(x.data.copy(), requires_grad=True)
-    attention_core(qs, kt, v).backward(u)
-    assert (z.grad == w).all()
-    assert (x.grad == w + v.grad).all()
+    alone = [Tensor(t.data.copy(), requires_grad=True) for t in (x, *ws)]
+    attention_heads(*alone).backward(g)
+    assert (z.grad == g).all() and (y.grad == u).all()
+    assert (x.grad == u + alone[0].grad).all()
+    for got, want in zip(ws, alone[1:]):
+        assert (got.grad == want.grad).all()
 
 
 def test_row_slices_backward_builds_one_parent_sized_buffer(monkeypatch):
-    # sixteen row blocks of 0.5 MiB inputs: a zero-padded full-size gradient
-    # per block would peak near sixteen times their size
+    # sixteen row blocks of 0.5 MiB inputs through the package's block loops:
+    # a zero-padded full-size gradient per block would peak near sixteen
+    # times their size
     r = rng(34)
     shapes = [(16, 2, 32, 64), (16, 2, 64, 32), (16, 2, 32, 64)]
     data = [r.normal(size=s) for s in shapes]
