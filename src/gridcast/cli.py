@@ -1,8 +1,8 @@
 """Command-line entry point wiring data, model, and training together.
 
-Subcommands: train, eval, forecast, export-attention, lookback-sweep. Every
-command is driven by a flat config file plus ``--set key=value`` overrides,
-and writes its resolved config beside its artifacts so runs can be replayed.
+Subcommands: train, eval, forecast, export-attention. Every command is driven
+by a flat config file plus ``--set key=value`` overrides, and writes its
+resolved config beside its artifacts so runs can be replayed.
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 """
 
@@ -24,6 +24,7 @@ from gridcast.config import (
     load_run_config,
     parse_columns,
     save_run_config,
+    set_key,
 )
 from gridcast.data import (
     SplitSpec,
@@ -78,14 +79,6 @@ def _resolve_config(args) -> RunConfig:
     return run
 
 
-def _int_list(text: str, flag: str) -> List[int]:
-    """The comma-separated integers given to ``flag``."""
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"{flag} expects comma-separated integers, got {text!r}") from None
-
-
 def _prepare_splits(run: RunConfig):
     """The dataset, its standardized (train, val, test) splits and the
     train-split statistics; ``data.borrow_prefix`` is applied per model."""
@@ -106,14 +99,25 @@ def _splits_for(run: RunConfig, splits, T: int) -> tuple:
     return borrow_prefix(*splits, T) if run.data_borrow_prefix else splits
 
 
-def _configs(run: RunConfig, key: str, values: List[int], splits) -> list:
-    """One (run, ModelConfig) per value of ``model.<key>``, each checked, as
-    is the fit of its window into every split."""
-    runs = [dataclasses.replace(run, model={**run.model, key: v}) for v in values]
-    configs = [(r, r.to_model_config()) for r in runs]
-    for _, cfg in configs:
+def _sweep(run: RunConfig, sweep: Optional[str], splits) -> tuple:
+    """The swept ``model.*`` field and one ModelConfig per value of ``sweep``
+    (``model.<key>=v1,v2,...``; ``model.F`` at its configured value if None).
+    Each value is typed as ``--set`` types it, and its model and the fit of
+    its window into every split are checked."""
+    key, _, values = (sweep or f"model.F={run.model['F']}").partition("=")
+    section, _, name = key.strip().partition(".")
+    if section != "model" or not values:
+        raise ConfigError(f"--sweep expects model.<key>=v1,v2,..., got {sweep!r}")
+    configs = []
+    for value in values.split(","):
+        one = dataclasses.replace(run, model=dict(run.model))
+        set_key(one, key, value)
+        cfg = one.to_model_config()
         check_windows(_splits_for(run, splits, cfg.T), cfg.T, cfg.F)
-    return configs
+        configs.append(cfg)
+    if len(set(configs)) < len(configs):  # a repeat would overwrite the first's artifacts
+        raise ConfigError(f"--sweep repeats a value: {sweep!r}")
+    return name, configs
 
 
 def _output(rows: List[list], path, echo: bool = True) -> None:
@@ -160,18 +164,22 @@ def _fit(run: RunConfig, cfg, hyper, ds, splits, tag: str) -> list:
 
 
 def cmd_train(args) -> int:
+    """Train one model per value of the swept setting, tagged ``<key><value>``;
+    results.csv gains the key's column if RESULTS_HEADER lacks it."""
     run = _resolve_config(args)
-    horizons = (
-        _int_list(args.horizon_sweep, "--horizon-sweep") if args.horizon_sweep else [run.model["F"]]
-    )
     ds, splits, stats = _prepare_splits(run)
-    configs = _configs(run, "F", horizons, splits)
+    key, configs = _sweep(run, args.sweep, splits)
     hyper = run.to_hyper()
     os.makedirs(run.out_dir, exist_ok=True)
     save_stats(stats, os.path.join(run.out_dir, "train_stats.csv"))
     save_run_config(run, os.path.join(run.out_dir, "config.txt"))
-    rows = [_fit(run, cfg, hyper, ds, splits, f"F{cfg.F}") for _, cfg in configs]
-    _output([RESULTS_HEADER, *rows], os.path.join(run.out_dir, "results.csv"))
+    extra = [] if key in RESULTS_HEADER else [key]
+    rows = [
+        _fit(run, cfg, hyper, ds, splits, f"{key}{getattr(cfg, key)}")
+        + [getattr(cfg, k) for k in extra]
+        for cfg in configs
+    ]
+    _output([RESULTS_HEADER + extra, *rows], os.path.join(run.out_dir, "results.csv"))
     return 0
 
 
@@ -224,21 +232,6 @@ def cmd_export_attention(args) -> int:
     return 0
 
 
-def cmd_lookback_sweep(args) -> int:
-    run = _resolve_config(args)
-    lengths = _int_list(args.lengths, "--lengths")
-    ds, splits, _ = _prepare_splits(run)
-    configs = _configs(run, "T", lengths, splits)
-    hyper = run.to_hyper()
-    os.makedirs(run.out_dir, exist_ok=True)
-    rows = []
-    for run_T, cfg in configs:
-        save_run_config(run_T, os.path.join(run.out_dir, f"config_T{cfg.T}.txt"))
-        rows.append(_fit(run, cfg, hyper, ds, splits, f"T{cfg.T}") + [cfg.M])
-    _output([RESULTS_HEADER + ["M"], *rows], os.path.join(run.out_dir, "sweep.csv"))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridcast",
@@ -262,9 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train a model and write artifacts")
     common(p_train)
     p_train.add_argument(
-        "--horizon-sweep",
-        metavar="F1,F2,...",
-        help="train once per horizon, e.g. 96,192,336,720",
+        "--sweep",
+        metavar="model.KEY=V1,V2,...",
+        help="train once per value of one model setting, e.g. model.F=96,192,336,720",
     )
     p_train.set_defaults(func=cmd_train)
 
@@ -293,11 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_att = window_command("export-attention", "write attention-map CSVs for one window")
     p_att.add_argument("--out-dir", required=True)
     p_att.set_defaults(func=cmd_export_attention)
-
-    p_sweep = sub.add_parser("lookback-sweep", help="train/eval once per lookback length")
-    common(p_sweep)
-    p_sweep.add_argument("--lengths", required=True, metavar="T1,T2,...")
-    p_sweep.set_defaults(func=cmd_lookback_sweep)
 
     return parser
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
+from gridcast.data import first_non_utf8
 from gridcast.errors import ConfigError
 from gridcast.model import ModelConfig, write_atomic
 from gridcast.train import TrainHyper
@@ -141,10 +142,12 @@ def serialize_run_config(config: RunConfig) -> str:
 
 def load_run_config(path) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # drops a byte-order mark
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise ConfigError(f"config {path} is not UTF-8 text: {first_non_utf8(path)}") from None
     return parse_run_config(text)
 
 

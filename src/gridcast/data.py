@@ -129,7 +129,7 @@ def _resolve_columns(keys: Sequence[ColumnKey], names: list) -> list:
     return out
 
 
-def _first_non_utf8(path) -> str:
+def first_non_utf8(path) -> str:
     """The first byte of the file at ``path`` that does not decode as UTF-8,
     and its offset; the text decoder reports it only within its read chunk."""
     with open(path, "rb") as fh:
@@ -154,12 +154,12 @@ def load_csv(
     indices), which is how a leading date column is discarded.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError:
-        raise DataError(f"{path} is not UTF-8 text: {_first_non_utf8(path)}") from None
+        raise DataError(f"{path} is not UTF-8 text: {first_non_utf8(path)}") from None
     except csv.Error as exc:
         raise DataError(f"cannot parse {path}: {exc}") from None
     rows = [r for r in rows if r]  # tolerate trailing blank lines

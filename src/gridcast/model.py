@@ -67,6 +67,8 @@ class ModelConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.mode not in MODES:
             raise ConfigError(f"mode={self.mode!r} must be one of {MODES}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def M(self) -> int:

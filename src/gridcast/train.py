@@ -184,6 +184,8 @@ class TrainHyper:
             raise ConfigError(f"train.clip_norm must be positive, got {self.clip_norm}")
         if not 0.0 < self.variate_ratio <= 1.0:
             raise ConfigError(f"train.variate_ratio must be in (0, 1], got {self.variate_ratio}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

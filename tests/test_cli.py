@@ -128,18 +128,43 @@ def test_train_rerun_is_identical_apart_from_timing(workspace, tmp_path):
         assert report_a[key] == report_b[key]
 
 
+def sweep(workspace, out, setting):
+    """``train --sweep setting`` on the workspace config for one epoch; the
+    rows of the results.csv it wrote."""
+    argv = ["train", "--config", str(workspace["cfg"]), "--out", str(out)]
+    assert main(argv + ["--set", "train.max_epochs=1", "--sweep", setting]) == 0
+    return read_results(out / "results.csv")
+
+
 def test_train_horizon_sweep(workspace, tmp_path):
     out = tmp_path / "sweep_f"
-    code = main(
-        [
-            "train", "--config", str(workspace["cfg"]), "--out", str(out),
-            "--set", "train.max_epochs=1", "--horizon-sweep", "8,4",
-        ]
-    )
-    assert code == 0
-    rows = read_results(out / "results.csv")
+    rows = sweep(workspace, out, "model.F=8,4")
+    assert rows[0] == RESULTS_HEADER  # F has a column already
     assert [r[RESULTS_HEADER.index("F")] for r in rows[1:]] == ["8", "4"]
     assert (out / "model_F8.ckpt").exists() and (out / "model_F4.ckpt").exists()
+    # one stats file and the config before the sweep serve every model
+    assert load_run_config(out / "config.txt").model["F"] == 8
+    assert (out / "train_stats.csv").exists()
+
+
+def test_mode_sweep_writes_one_tagged_model_set_per_mode(workspace, tmp_path):
+    out = tmp_path / "sweep_mode"
+    rows = sweep(workspace, out, "model.mode=alternate,vertical_only")
+    assert rows[0] == RESULTS_HEADER
+    assert [r[RESULTS_HEADER.index("mode")] for r in rows[1:]] == ["alternate", "vertical_only"]
+    for mode in ("alternate", "vertical_only"):
+        _, cfg = load_checkpoint(out / f"model_mode{mode}.ckpt")
+        assert cfg.mode == mode
+        assert (out / f"report_mode{mode}.json").exists()
+        assert (out / f"epochs_mode{mode}.jsonl").exists()
+
+
+def test_a_swept_setting_without_a_results_column_gets_one(workspace, tmp_path):
+    out = tmp_path / "sweep_d"
+    rows = sweep(workspace, out, "model.D=8,16")
+    assert rows[0] == RESULTS_HEADER + ["D"]
+    assert [r[-1] for r in rows[1:]] == ["8", "16"]
+    assert load_checkpoint(out / "model_D16.ckpt")[1].D == 16
 
 
 def test_set_overrides_reach_snapshot(workspace, tmp_path):
@@ -357,6 +382,16 @@ def test_train_on_data_that_is_not_utf8_is_one_line_error(name, workspace, tmp_p
     assert not out.exists()
 
 
+def test_config_that_is_not_utf8_is_one_line_error(workspace, tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"# caf\xe9\n" + workspace["cfg"].read_bytes())
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config {cfg} is not UTF-8 text: byte 0xe9 at offset 5\n"
+    assert not out.exists()
+
+
 def _corrupt(archive, case):
     """Damage a checkpoint's arrays (a dict) as ``case`` names."""
     stat = "state/layers.0.norm1.running_"
@@ -377,6 +412,9 @@ def _corrupt(archive, case):
         archive["__magic__"] = np.array([str(archive["__magic__"]), None], dtype=object)
     elif case == "object_config":
         archive["__config__"] = np.array([None], dtype=object)
+    elif case == "negative_seed":
+        config = json.loads(str(archive["__config__"][()]))
+        archive["__config__"] = np.array(json.dumps({**config, "seed": -1}))
 
 
 CORRUPTION_ERRORS = {
@@ -388,6 +426,7 @@ CORRUPTION_ERRORS = {
     "batch_only": "norm_over = batch_only",
     "object_magic": "is not a gridcast-checkpoint-1 file",
     "object_config": "has no valid model config",
+    "negative_seed": "has no valid model config: seed must be >= 0, got -1",
 }
 
 
@@ -416,15 +455,21 @@ def test_forecast_drop_columns_takes_an_index_as_data_drop_columns_does(workspac
         writer.writerow(["date"] + [f"v{i}" for i in range(window.shape[1])])
         for i, row in enumerate(window):
             writer.writerow([f"2020-01-01 {i:02d}:00"] + [repr(float(v)) for v in row])
+    # a UTF-8 byte-order mark is not part of the first cell: the header's
+    # first name is still "date", and a headerless window keeps its first row
+    marked, marked_headerless = tmp_path / "marked.csv", tmp_path / "marked_headerless.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + dated.read_bytes())
+    marked_headerless.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
     ckpt = str(workspace["out"] / "model_F8.ckpt")
     outputs = []
-    for window_path, drop in ((dated, "0"), (dated, "date"), (path, None)):
+    cases = ((dated, "0"), (dated, "date"), (path, None), (marked, "date"), (marked_headerless, None))
+    for window_path, drop in cases:
         out_file = tmp_path / f"fc_{len(outputs)}.csv"
         argv = ["forecast", "--checkpoint", ckpt, "--window", str(window_path)]
         argv += ["--out-file", str(out_file)] + (["--drop-columns", drop] if drop else [])
         assert main(argv) == 0
         outputs.append(out_file.read_text())
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(set(outputs)) == 1
 
 
 # -- export-attention --------------------------------------------------------
@@ -480,29 +525,20 @@ def test_export_attention_single_head_raw_map(tmp_path):
 
 def test_lookback_sweep_rows_and_patch_counts(workspace, tmp_path):
     out = tmp_path / "sweep"
-    code = main(
-        [
-            "lookback-sweep", "--config", str(workspace["cfg"]), "--out", str(out),
-            "--set", "train.max_epochs=1", "--lengths", "24,32",
-        ]
-    )
-    assert code == 0
-    rows = read_results(out / "sweep.csv")
-    assert rows[0] == RESULTS_HEADER + ["M"]
+    rows = sweep(workspace, out, "model.T=24,32")
+    assert rows[0] == RESULTS_HEADER
     assert [r[RESULTS_HEADER.index("T")] for r in rows[1:]] == ["24", "32"]
-    # M recomputed per row from (T, P=8, S=4)
-    assert [r[-1] for r in rows[1:]] == ["6", "8"]
-    assert (out / "model_T24.ckpt").exists() and (out / "model_T32.ckpt").exists()
-    assert (out / "config_T32.txt").exists()
-    # the same per-model artifacts as train, tagged by lookback
-    for T, row in zip((24, 32), rows[1:]):
+    # the same per-model artifacts as a plain train, tagged by lookback
+    for T, M, row in zip((24, 32), (6, 8), rows[1:]):
+        _, cfg = load_checkpoint(out / f"model_T{T}.ckpt")
+        assert (cfg.T, cfg.M) == (T, M)  # M from (T, P=8, S=4)
         report = json.loads((out / f"report_T{T}.json").read_text())
         assert repr(float(report["test_mse"])) == row[RESULTS_HEADER.index("mse")]
         lines = (out / f"epochs_T{T}.jsonl").read_text().splitlines()
         assert len(lines) == report["epochs_run"] == 1
 
 
-def test_lookback_sweep_longer_context_wins_on_long_memory_series(tmp_path):
+def test_a_longer_lookback_wins_on_a_long_memory_series(tmp_path):
     # Series whose level pattern repeats every 200 steps: a 336-step window
     # always contains one full cycle, a 96-step window often misses the part
     # that disambiguates the upcoming level, so the longer lookback must score
@@ -522,9 +558,9 @@ def test_lookback_sweep_longer_context_wins_on_long_memory_series(tmp_path):
         f"out.dir = {out}\n"
         "seed = 0\n"
     )
-    code = main(["lookback-sweep", "--config", str(cfg), "--lengths", "96,336"])
+    code = main(["train", "--config", str(cfg), "--sweep", "model.T=96,336"])
     assert code == 0
-    rows = read_results(out / "sweep.csv")
+    rows = read_results(out / "results.csv")
     mse = {r[RESULTS_HEADER.index("T")]: float(r[RESULTS_HEADER.index("mse")]) for r in rows[1:]}
     assert mse["336"] < mse["96"]
 
@@ -532,8 +568,8 @@ def test_lookback_sweep_longer_context_wins_on_long_memory_series(tmp_path):
 def test_lookback_sweep_rejects_short_length(workspace, tmp_path, capsys):
     code = main(
         [
-            "lookback-sweep", "--config", str(workspace["cfg"]),
-            "--out", str(tmp_path / "s"), "--lengths", "4,24",
+            "train", "--config", str(workspace["cfg"]),
+            "--out", str(tmp_path / "s"), "--sweep", "model.T=4,24",
         ]
     )
     assert code == 2
@@ -546,8 +582,8 @@ CHECKPOINT = "<workspace checkpoint>"  # stands for the workspace's model_F8.ckp
 @pytest.mark.parametrize(
     "argv,named",
     [
-        (["train", "--horizon-sweep", "8,x"], "--horizon-sweep"),
-        (["lookback-sweep", "--lengths", "32,x"], "--lengths"),
+        (["train", "--sweep", "model.F=8,x"], "model.F expects int"),
+        (["train", "--sweep", "train.lr=0.1,0.2"], "--sweep"),
         (["train", "--set", "train.batch_size=0"], "train.batch_size"),
         (["train", "--set", "train.batch_size=-1"], "train.batch_size"),
         (["train", "--set", "train.clip_norm=-1"], "train.clip_norm"),
@@ -559,16 +595,16 @@ CHECKPOINT = "<workspace checkpoint>"  # stands for the workspace's model_F8.ckp
         (["train", "--set", "model.T=8"], "T=8"),
         (["train", "--set", "train.variate_ratio=0"], "train.variate_ratio"),
         (["train", "--set", "train.variate_ratio=1.5"], "train.variate_ratio"),
-        (["train", "--horizon-sweep", "8,0"], "F must be >= 1"),
-        (["lookback-sweep", "--lengths", "24,4"], "shorter than patch length"),
-        (["lookback-sweep", "--lengths", "24", "--set", "model.H=3"], "H=3"),
+        (["train", "--sweep", "model.F=8,0"], "F must be >= 1"),
+        (["train", "--sweep", "model.T=24,4"], "shorter than patch length"),
+        (["train", "--sweep", "model.T=24", "--set", "model.H=3"], "H=3"),
         (["train", "--set", "model.norm_over=batch_and_tokens"], "unknown config key"),
         (["train", "--set", "train.patience=0"], "train.patience"),
         (["train", "--set", "model.N=4"], "unknown config key 'model.N'"),
         # 700 rows at 8:1:1 leave val and test 70 steps each
         (["train", "--set", "data.split=8:1:1"], "val split too short: 70 steps"),
         (
-            ["lookback-sweep", "--lengths", "32,100", "--set", "data.split=8:1:1"],
+            ["train", "--sweep", "model.T=32,100", "--set", "data.split=8:1:1"],
             "val split too short: 70 steps cannot host lookback 100",
         ),
         (
@@ -584,6 +620,10 @@ CHECKPOINT = "<workspace checkpoint>"  # stands for the workspace's model_F8.ckp
             ["eval", "--checkpoint", CHECKPOINT, "--set", "data.split=30:1:1"],
             "test split too short: 22 steps cannot host lookback 24 + horizon 8",
         ),
+        (["train", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["train", "--sweep", "model.F"], "--sweep"),
+        (["train", "--sweep", "model.seed=1"], "unknown config key 'model.seed'"),
+        (["train", "--sweep", "model.F=8,4,08"], "--sweep repeats a value"),
     ],
 )
 def test_malformed_setting_is_one_line_usage_error(argv, named, workspace, tmp_path, capsys):
@@ -615,13 +655,8 @@ def test_printed_tables_equal_the_files_written(workspace, tmp_path, capsys):
     capsys.readouterr()
     out = tmp_path / "train"
     argv = ["train", "--config", cfg, "--out", str(out), "--set", "train.max_epochs=1"]
-    assert main(argv + ["--horizon-sweep", "8,4"]) == 0
+    assert main(argv + ["--sweep", "model.F=8,4"]) == 0
     _assert_prints_table(capsys.readouterr().out, (out / "results.csv").read_bytes().decode(), 2)
-
-    out = tmp_path / "sweep"
-    argv = ["lookback-sweep", "--config", cfg, "--out", str(out), "--set", "train.max_epochs=1"]
-    assert main(argv + ["--lengths", "24,32"]) == 0
-    _assert_prints_table(capsys.readouterr().out, (out / "sweep.csv").read_bytes().decode(), 2)
 
     metrics = tmp_path / "metrics.csv"
     argv = ["eval", "--config", cfg, "--checkpoint", ckpt, "--persistence"]

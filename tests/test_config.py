@@ -63,6 +63,19 @@ def test_roundtrip_via_file(tmp_path):
     assert load_run_config(path) == run
 
 
+def test_config_with_a_byte_order_mark_loads_as_without(tmp_path):
+    path = tmp_path / "marked.cfg"
+    path.write_text("\ufeff" + SAMPLE)
+    assert load_run_config(path) == parse_run_config(SAMPLE)
+
+
+def test_config_that_is_not_utf8_names_its_path_and_byte(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("# caf\xe9\nmodel.T = 96\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match=r"^config .*latin1.cfg is not UTF-8 text: byte 0xe9 at offset 5$"):
+        load_run_config(path)
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError) as err:
         parse_run_config("model.width = 7\n")

@@ -93,6 +93,20 @@ def test_load_csv_names_the_first_byte_that_is_not_utf8(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_drops_a_byte_order_mark(tmp_path):
+    # without a header the marked first cell would read as text and the
+    # first row as a header; with one, the first name would not be "date"
+    bom = "\ufeff"
+    plain = load_csv(write(tmp_path, "0.5,1\n2,3\n4,5\n"))
+    marked = load_csv(write(tmp_path, bom + "0.5,1\n2,3\n4,5\n", name="marked.csv"))
+    assert marked.timesteps == 3 and (marked.values == plain.values).all()
+    dated = load_csv(
+        write(tmp_path, bom + "date,x\n2020-01-01,1\n2020-01-02,3\n", name="dated.csv"),
+        drop_columns=["date"],
+    )
+    np.testing.assert_array_equal(dated.values, [[1], [3]])
+
+
 def test_load_csv_rejects_a_field_past_the_csv_limit(tmp_path):
     path = tmp_path / "quote.csv"
     path.write_text('a,"' + "x" * 200_000 + "\n")

@@ -1,8 +1,9 @@
-"""The demos run, the README's imports are the package's public surface, and
-its artifacts table names what ``gridcast train`` writes."""
+"""The demos run, the README's imports are the package's public surface, its
+commands parse, and its artifacts table names what ``gridcast train`` writes."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ import pytest
 
 import gridcast
 from gridcast.attention import MODES
-from gridcast.cli import main
+from gridcast.cli import build_parser, main
 from gridcast.data import synthetic_sines
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -42,6 +43,20 @@ def test_public_names_resolve_and_cover_the_readme():
         imported.update(n.strip() for n in names.split(","))
     assert imported, "the README has no 'from gridcast import' line"
     assert imported <= set(gridcast.__all__), imported - set(gridcast.__all__)
+
+
+def test_readme_commands_parse():
+    # a spelling the CLI dropped fails here rather than in a reader's shell
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    blocks = re.findall(r"^```(?:sh|bash|shell)\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
+    commands = [line for block in blocks for line in block.splitlines() if line.startswith("gridcast ")]
+    assert commands, "the README has no gridcast command"
+    for line in commands:
+        try:
+            build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"the README's {line!r} does not parse")
 
 
 def test_readme_run_config_parses_and_builds(tmp_path, monkeypatch):

@@ -48,6 +48,7 @@ def test_config_derived_patch_count():
         (dict(dropout=1.0), "dropout"),
         (dict(mode="diagonal"), "mode"),
         (dict(L=0), "L"),
+        (dict(seed=-1), "seed"),
     ],
 )
 def test_config_validation_names_field(kw, field):
@@ -373,6 +374,15 @@ def test_checkpoint_rejects_foreign_file(tmp_path):
     for name in ("arr.npy", "empty.ckpt", "data.csv", "junk.bin"):
         with pytest.raises(ConfigError, match=f"{name} is not a gridcast-checkpoint-1 file"):
             load_checkpoint(tmp_path / name)
+
+
+def test_checkpoint_rejects_a_negative_seed(tmp_path):
+    # numpy's generators take no negative seed, so build() could not run it
+    path = saved_checkpoint(tmp_path)
+    config = json.loads(str(np.load(path, allow_pickle=False)["__config__"][()]))
+    rewrite_config(path, json.dumps({**config, "seed": -1}))
+    with pytest.raises(ConfigError, match="no valid model config: seed must be >= 0, got -1"):
+        load_checkpoint(path)
 
 
 def saved_checkpoint(tmp_path):

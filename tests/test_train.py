@@ -488,3 +488,7 @@ def test_train_hyper_rejects_bad_settings(setting):
     with pytest.raises(ConfigError, match=f"train.{name}"):
         TrainHyper(**setting)
 
+
+def test_train_hyper_rejects_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        TrainHyper(seed=-1)
