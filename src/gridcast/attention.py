@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from gridcast.errors import ConfigError, ShapeError
-from gridcast.tensor import BatchNormState, Tensor, batch_norm, dropout, no_grad
+from gridcast.tensor import BatchNormState, Tensor, batch_norm, checkpoint, dropout, no_grad
 
 DIRECTIONS = ("horizontal", "vertical")
 # layer orders; the last two attend in one direction only, the paper's ablations
@@ -230,6 +230,11 @@ def multi_head(x: Tensor, params: AttentionParams, capture: Optional[list] = Non
     return (cat @ params.w_out).reshape(*orig)
 
 
+def feed_forward(y: Tensor, w_in: Tensor, w_out: Tensor) -> Tensor:
+    """The position-wise feed-forward block gelu(y W1) W2, bias-free."""
+    return (y @ w_in).gelu() @ w_out
+
+
 def encoder_layer(
     x: Tensor,
     params: AttentionParams,
@@ -241,9 +246,12 @@ def encoder_layer(
     """Post-norm transformer encoder block over the trailing [L x D] axes.
 
     y1 = BN(x + Dropout(MHA(x))); y = BN(y1 + Dropout(FFN(y1))), where the FFN
-    is gelu(x W1) W2 and both norms standardize each feature over every other
-    axis, batch and token positions together. ``capture`` is passed to
-    ``multi_head``.
+    is ``feed_forward``, gelu(y1 W1) W2, and both norms standardize each
+    feature over every other axis, batch and token positions together. The
+    FFN runs under ``checkpoint``: its node keeps y1, which the graph holds
+    anyway, and recomputes the [.., D_ff] hidden array and gelu's slope in
+    backward, bit for bit, so a training forward keeps no D_ff-wide array.
+    ``capture`` is passed to ``multi_head``.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     att = multi_head(x, params, capture)
@@ -254,7 +262,7 @@ def encoder_layer(
         params.norm1_state,
         training,
     )
-    ffn = (y1 @ params.ffn_in).gelu() @ params.ffn_out
+    ffn = checkpoint(feed_forward, y1, params.ffn_in, params.ffn_out)
     return batch_norm(
         y1 + dropout(ffn, dropout_rate, rng, training),
         params.norm2_gamma,

@@ -154,7 +154,7 @@ def _fit(run: RunConfig, cfg, hyper, ds, splits, tag: str) -> list:
     with write_atomic(os.path.join(run.out_dir, f"report_{tag}.json")) as fh:
         json.dump(dataclasses.asdict(report), fh, indent=2)
     print(
-        f"trained {ds.name} T={cfg.T} F={cfg.F}: test mse {report.test_mse:.6f} "
+        f"trained {ds.name} {tag} T={cfg.T} F={cfg.F}: test mse {report.test_mse:.6f} "
         f"mae {report.test_mae:.6f} ({report.epochs_run} epochs)"
     )
     return _result_row(

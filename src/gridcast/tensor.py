@@ -22,7 +22,9 @@ on the way to it) frees the whole graph by reference counting.
 A vjp may also recompute what it needs rather than keep it: it can rebuild a
 small graph from the arrays it kept and pull its gradient back with
 ``backward(grad)``, which seeds a non-scalar root. ``attention.attention_heads``
-keeps its layer input this way, and no Q, K, V or attention weights.
+keeps its layer input this way, and no Q, K, V or attention weights, and
+``checkpoint`` makes any pure function one such node: the encoder's
+feed-forward block keeps its input and no ``D_ff``-wide array.
 """
 
 from __future__ import annotations
@@ -389,7 +391,7 @@ class Tensor:
         bit. Gradients flow through a per-call accumulator, so calling
         backward twice on the same graph adds exactly twice the gradient. A
         vjp may build and walk a graph of its own, as ``attention_heads``
-        does to recompute its weights.
+        does to recompute its weights and ``checkpoint`` its function.
         """
         if grad is None:
             if self.size != 1:
@@ -432,6 +434,32 @@ class Tensor:
                 if parent is not None:
                     held = flowing.get(id(parent))
                     flowing[id(parent)] = pg if held is None else held + pg
+
+
+def checkpoint(f, *inputs: Tensor) -> Tensor:
+    """``f(*inputs)`` as one graph node that keeps only the inputs' arrays:
+    the activation checkpointing of Chen et al. (arXiv 1604.06174).
+
+    Forward runs ``f`` under ``no_grad``, so its ops build no nodes and keep
+    nothing. The vjp runs ``f`` again on fresh leaves holding the same
+    arrays, each needing a gradient only where its input does, and pulls the
+    output gradient back through that graph with ``backward(grad)``; an
+    input that needs no gradient gets None and no product. The recompute runs
+    the same ops on the same arrays, so every value and gradient repeats bit
+    for bit. ``f`` must therefore draw no random numbers and update no state:
+    dropout and ``batch_norm`` stay outside it.
+    """
+    with no_grad():
+        out = f(*inputs)
+    arrays = [(t.data, t.requires_grad) for t in inputs]
+
+    def vjp(g):
+        with no_grad(False):  # backward may run inside no_grad
+            leaves = [Tensor(a, requires_grad=need) for a, need in arrays]
+            f(*leaves).backward(g)
+        return tuple(leaf.grad for leaf in leaves)
+
+    return Tensor._make(out.data, inputs, vjp)
 
 
 # -- layers built from the primitives ---------------------------------------

@@ -7,7 +7,7 @@ share no code path with the library they check. They are inference-mode only
 variance). The graph references at the end are the composite, unfused or
 unblocked forms of the fused and blocked ops, built from the library's Tensor
 ops, and ``OP_CASES`` is the one table of finite-difference checks, a case per
-differentiable op.
+differentiable op. ``kept_arrays`` lists what a graph keeps for backward.
 """
 
 import zlib
@@ -19,11 +19,12 @@ from gridcast.attention import (
     attend_blocks,
     attend_blocks_vjp,
     attention_heads,
+    feed_forward,
     score_blocks,
     sequence_directions,
 )
 from gridcast.errors import ShapeError
-from gridcast.tensor import BatchNormState, Tensor, batch_norm, dropout
+from gridcast.tensor import BatchNormState, Tensor, batch_norm, checkpoint, dropout
 from gridcast.train import mse
 
 
@@ -306,6 +307,11 @@ OP_CASES = [
         lambda ts: (one_group_per_block(attention_heads, *ts[:4]) * ts[4]).sum(),
         HEADS_SHAPES,
     ),
+    (
+        "checkpoint",  # the encoder's FFN on y [2, 3, 4], D_ff = 5
+        lambda ts: (checkpoint(feed_forward, *ts[:3]) * ts[3]).sum(),
+        [(2, 3, 4), (4, 5), (5, 4), (2, 3, 4)],
+    ),
 ]
 
 
@@ -314,3 +320,57 @@ def op_case_inputs(name, shapes):
     name so every run checks the same points."""
     r = np.random.default_rng(zlib.crc32(name.encode()))
     return [Tensor(r.normal(size=s)) for s in shapes]
+
+
+# -- what a graph keeps ------------------------------------------------------
+
+
+def _closure_arrays(value, seen: set):
+    """The arrays ``value`` holds: itself, the items of a list or tuple, or
+    what a function's closure holds, functions in it included."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _closure_arrays(item, seen)
+    elif getattr(value, "__closure__", None) and id(value) not in seen:
+        seen.add(id(value))
+        for cell in value.__closure__:
+            yield from _closure_arrays(cell.cell_contents, seen)
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array whose buffer ``a`` views; ``a`` itself if it owns one."""
+    return a.base if isinstance(a.base, np.ndarray) else a
+
+
+def kept_arrays(root: Tensor) -> list:
+    """(op, array) for each array the graph behind ``root`` keeps for its
+    backward, found by walking every node's vjp closure. ``op`` names the
+    function that made the node (``Tensor.__matmul__``, ``checkpoint``, ...).
+    A buffer that several nodes hold, or several views of, is listed once."""
+    found, buffers, nodes, functions = [], set(), set(), set()
+    stack = [root._node]
+    while stack:
+        node = stack.pop()
+        if node is None or id(node) in nodes:
+            continue
+        nodes.add(id(node))
+        stack.extend(node.parents)
+        if node.vjp is None:
+            continue
+        op = node.vjp.__qualname__.split(".<locals>")[0]
+        for a in _closure_arrays(node.vjp, functions):
+            if id(_owner(a)) not in buffers:
+                buffers.add(id(_owner(a)))
+                found.append((op, a))
+    return found
+
+
+def kept_bytes_by_op(kept: list) -> dict:
+    """Bytes of the buffers in ``kept_arrays``' pairs, summed by op, largest
+    first."""
+    totals = {}
+    for op, a in kept:
+        totals[op] = totals.get(op, 0) + _owner(a).nbytes
+    return dict(sorted(totals.items(), key=lambda item: -item[1]))

@@ -159,6 +159,16 @@ def test_mode_sweep_writes_one_tagged_model_set_per_mode(workspace, tmp_path):
         assert (out / f"epochs_mode{mode}.jsonl").exists()
 
 
+def test_each_swept_model_prints_a_progress_line_naming_its_tag(workspace, tmp_path, capsys):
+    # at L=2, alternate and time_first run the same layer order, so only the
+    # tag tells their lines apart
+    capsys.readouterr()
+    sweep(workspace, tmp_path / "sweep_lines", "model.mode=alternate,time_first")
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("trained ")]
+    assert len(lines) == len(set(lines)) == 2
+    assert " modealternate " in lines[0] and " modetime_first " in lines[1]
+
+
 def test_a_swept_setting_without_a_results_column_gets_one(workspace, tmp_path):
     out = tmp_path / "sweep_d"
     rows = sweep(workspace, out, "model.D=8,16")

@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 import gridcast
 import oracles
 from gridcast import attention
-from gridcast.attention import attention_heads
+from gridcast.attention import attention_heads, feed_forward
 from gridcast.errors import NumericError, ShapeError
 from gridcast.tensor import (
     BatchNormState,
     Tensor,
     batch_norm,
+    checkpoint,
     dropout,
     grad_check,
     no_grad,
@@ -464,9 +465,9 @@ def test_graph_frees_intermediates_backward_twice_adds_twice():
 
 
 def _captured_arrays(t: Tensor) -> list:
-    """The arrays the vjp of the node that made ``t`` keeps alive."""
-    cells = t._vjp.__closure__ or ()
-    return [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]
+    """The arrays the graph behind ``t`` keeps alive: the node that made it,
+    when its parents are leaves."""
+    return [a for _, a in oracles.kept_arrays(t)]
 
 
 @pytest.mark.parametrize("const", [0.5, Tensor(np.arange(1.0, 5.0))], ids=["float", "tensor"])
@@ -508,6 +509,79 @@ def test_matmul_by_a_constant_forms_no_gradient_for_it():
     gc_, gw = out._vjp(g)
     assert gc_ is None
     np.testing.assert_array_equal(gw, np.matmul(np.swapaxes(c, -1, -2), g).sum(axis=0))
+
+
+# -- checkpoint --------------------------------------------------------------
+
+
+def _ffn_inputs(shape, D_ff, seed, need_y=True):
+    r = rng(seed)
+    D = shape[-1]
+    return (
+        Tensor(r.normal(size=shape), requires_grad=need_y),
+        Tensor(r.normal(size=(D, D_ff)), requires_grad=True),
+        Tensor(r.normal(size=(D_ff, D)), requires_grad=True),
+    )
+
+
+@pytest.mark.parametrize("shape,D_ff", [((2, 3, 4, 5), 7), ((3, 6, 16), 32)])
+def test_checkpoint_is_the_plain_graph_bit_for_bit(shape, D_ff):
+    # y also feeds a residual sum, as in the encoder, so its two gradients add
+    g = rng(50).normal(size=shape)
+    results = []
+    for ffn in (feed_forward, lambda *ts: checkpoint(feed_forward, *ts)):
+        y, w_in, w_out = _ffn_inputs(shape, D_ff, 51)
+        out = y + ffn(y, w_in, w_out)
+        out.backward(g)
+        results.append([out.data, y.grad, w_in.grad, w_out.grad])
+    for plain, checkpointed in zip(*results):
+        np.testing.assert_array_equal(checkpointed, plain)
+
+
+def test_checkpoint_keeps_only_its_inputs_arrays():
+    y, w_in, w_out = _ffn_inputs((2, 3, 4), 8, 52)
+    out = checkpoint(feed_forward, y, w_in, w_out)
+    kept = _captured_arrays(out)
+    assert len(kept) == 3 and all(any(a is t.data for a in kept) for t in (y, w_in, w_out))
+
+
+def test_checkpoint_forms_no_product_for_an_input_that_needs_none(monkeypatch):
+    calls = []
+    matmul = np.matmul
+
+    def counting_matmul(*args, **kwargs):
+        calls.append(1)
+        return matmul(*args, **kwargs)
+
+    grads = {}
+    for need_y in (True, False):
+        y, w_in, w_out = _ffn_inputs((2, 3, 4), 5, 53, need_y)
+        out = checkpoint(feed_forward, y, w_in, w_out)
+        monkeypatch.setattr(np, "matmul", counting_matmul)
+        calls.clear()
+        out.backward(np.ones(out.shape))
+        monkeypatch.setattr(np, "matmul", matmul)
+        # the recompute's two products, the gradients of the hidden array,
+        # w_out and w_in, and y's only where it needs one
+        assert len(calls) == (6 if need_y else 5)
+        assert (y.grad is None) != need_y
+        grads[need_y] = (w_in.grad, w_out.grad)
+    for with_y, without_y in zip(grads[True], grads[False]):
+        np.testing.assert_array_equal(without_y, with_y)
+
+
+def test_checkpoint_under_no_grad_builds_no_node():
+    calls = []
+
+    def ffn(*ts):
+        calls.append(1)
+        return feed_forward(*ts)
+
+    inputs = _ffn_inputs((2, 3, 4), 5, 54)
+    with no_grad():
+        out = checkpoint(ffn, *inputs)
+    assert out._node is None and not out.requires_grad and len(calls) == 1
+    np.testing.assert_array_equal(out.data, feed_forward(*inputs).data)
 
 
 def test_dropped_graph_frees_its_leaf_without_the_cycle_collector():

@@ -349,8 +349,9 @@ def test_train_frees_each_step_graph_before_the_next_forward(monkeypatch):
 
 def kept_by_training_forward(N, B=4):
     """Bytes a training forward of the reference model (dropout 0.2) on B
-    windows of N variates leaves alive until backward, and its parameters'
-    gradients are finite."""
+    windows of N variates leaves alive until backward, and the activations
+    its graph keeps: ``oracles.kept_arrays`` without the parameters. Its
+    parameters' gradients are finite."""
     cfg = ModelConfig(T=96, F=24)
     params = build(cfg, rng(0))
     x = rng(5).normal(size=(B, cfg.T + cfg.F, N))
@@ -368,9 +369,14 @@ def kept_by_training_forward(N, B=4):
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+    weights = [t.data for _, t in params.named_parameters()]
+    activations = [
+        (op, a) for op, a in oracles.kept_arrays(loss)
+        if not any(np.may_share_memory(a, w) for w in weights)
+    ]
     loss.backward()
     assert all(np.isfinite(t.grad).all() for _, t in params.named_parameters())
-    return kept
+    return kept, activations
 
 
 def test_a_training_forward_keeps_only_what_backward_reads():
@@ -378,17 +384,30 @@ def test_a_training_forward_keeps_only_what_backward_reads():
     # and dropout kept their other operand and gelu kept x and tanh,
     # 1,705,120 once each vjp kept only what its parents' gradients read,
     # 1,457,976 since the attention weights are recomputed in backward,
-    # 1,059,320 since Q, K and V are recomputed from the layer input too.
-    # Pinning one more [4, 12, 8, 16] activation per layer (98 KB) crosses
+    # 1,059,320 since Q, K and V are recomputed from the layer input too,
+    # 664,000 since the FFN's hidden array and gelu's slope are too.
+    # Pinning one more [4, 12, 8, 32] FFN array per layer (98 KB) crosses
     # the bound.
-    assert kept_by_training_forward(8) < 1_100_000
+    kept, activations = kept_by_training_forward(8)
+    by_op = oracles.kept_bytes_by_op(activations)
+    assert kept < 700_000, f"{kept:,} bytes; activations by op: {by_op}"
+
+
+def test_a_training_forward_keeps_no_d_ff_wide_activation():
+    # the FFN's checkpoint node keeps its input; its [B, M, N, D_ff] hidden
+    # array and gelu's slope are recomputed in backward
+    D_ff = ModelConfig(T=96, F=24).D_ff
+    _, activations = kept_by_training_forward(8)
+    assert activations, "the walk found no kept arrays"
+    wide = [(op, a.shape) for op, a in activations if a.shape[-1:] == (D_ff,)]
+    assert wide == []
 
 
 def test_kept_bytes_grow_linearly_in_the_variates():
     # token-sized activations grow as N, stored N x N attention weights as
-    # N^2: 16 -> 64 variates keeps 3.94x the bytes with recompute, and 5.30x
+    # N^2: 16 -> 64 variates keeps 3.90x the bytes with recompute, and 5.30x
     # when the weights were kept
-    assert kept_by_training_forward(64) / kept_by_training_forward(16) < 4.5
+    assert kept_by_training_forward(64)[0] / kept_by_training_forward(16)[0] < 4.5
 
 
 def test_train_restores_best_checkpoint():
