@@ -8,18 +8,18 @@ horizontal on the grid viewed as [B x N x M x D], vertical on the grid as it
 is, which equals transpose -> horizontal -> transpose without the permutes.
 
 Each layer's heads, softmax(Q K^T / sqrt(d_k)) V, are one graph node per
-layer, ``attention_heads``, cache-blocked after the tiling of FlashAttention
-(Dao et al., arXiv 2205.14135): it splits the G groups into blocks whose
-[rows, H, L, L] scores fit ``SCORE_BLOCK_BYTES`` and runs scores -> softmax
--> weighted sum on one block at a time, so the score-sized arrays stay in
-cache instead of streaming through memory (a [192, 4, 128, 128] score array
-is 100 MB). The node keeps the layer input, which the graph holds anyway,
-and no Q, K, V or weights: its vjp recomputes them with the same kernels on
-the same views, as FlashAttention's backward does and as the activation
-checkpointing of Chen et al. (arXiv 1604.06174) does per layer. So a
-training forward leaves no N x N array for backward, every weight repeats
-bit for bit, and every group is independent, so each value and gradient is
-the same bit for bit as on the whole array.
+layer, ``attention_heads``, from the layer input [..., L, D] to each token's
+heads side by side, [..., L, H*d_v], cache-blocked after the tiling of
+FlashAttention (Dao et al., arXiv 2205.14135): it splits the G groups into
+blocks whose [rows, H, L, L] scores fit ``SCORE_BLOCK_BYTES`` and runs scores
+-> softmax -> weighted sum on one block at a time, so the score-sized arrays
+stay in cache instead of streaming through memory (a [192, 4, 128, 128] score
+array is 100 MB). The node keeps the layer input's rows and no Q, K, V or
+weights: its vjp recomputes them with the same kernels on the same views, as
+FlashAttention's backward and the activation checkpointing of Chen et al.
+(arXiv 1604.06174) do. So a training forward leaves no N x N array for
+backward, and every weight, value and gradient repeats bit for bit, on the
+whole array as in blocks, since every group is independent.
 """
 
 from __future__ import annotations
@@ -130,18 +130,20 @@ def attend_blocks(q, kt, v, blocks: list, capture: Optional[list] = None) -> np.
     """softmax(q @ kt) @ v for [G, H, L, d_k] queries q (already scaled),
     [G, H, d_k, L] keys kt and [G, H, L, d_v] values v, run as
     ``(q @ kt).softmax(axis=-1) @ v`` under ``no_grad`` on each block of
-    groups in ``blocks``. When ``capture`` is a list, the weights
-    [G, H, L, L] are appended to it."""
-    outs, weights = [], []
+    groups in ``blocks``. Each block is written into one [G, L, H, d_v]
+    buffer, whose [G, H, L, d_v] transposed view is returned. When
+    ``capture`` is a list, the weights [G, H, L, L] are appended to it."""
+    G, H, L, d_v = v.shape
+    out = np.empty((G, L, H, d_v)).transpose(0, 2, 1, 3)
+    if capture is not None:
+        capture.append(np.empty((G, H, L, L)))
     with no_grad():
         for b in blocks:
             w = (Tensor(q[b]) @ Tensor(kt[b])).softmax(axis=-1)
-            outs.append((w @ Tensor(v[b])).data)
+            out[b] = (w @ Tensor(v[b])).data
             if capture is not None:
-                weights.append(w.data)
-    if capture is not None:
-        capture.append(np.concatenate(weights))
-    return outs[0] if len(outs) == 1 else np.concatenate(outs)
+                capture[-1][b] = w.data
+    return out
 
 
 def attend_blocks_vjp(q, kt, v, blocks: list, g: np.ndarray) -> tuple:
@@ -164,27 +166,29 @@ def attend_blocks_vjp(q, kt, v, blocks: list, g: np.ndarray) -> tuple:
 
 
 def attention_heads(
-    xg: Tensor, w_query: Tensor, w_key: Tensor, w_value: Tensor, capture: Optional[list] = None
+    x: Tensor, w_query: Tensor, w_key: Tensor, w_value: Tensor, capture: Optional[list] = None
 ) -> Tensor:
-    """Every head's softmax(Q K^T / sqrt(d_k)) V for xg [G, L, D], with
-    Q, K, V = xg @ w[h] for w_query, w_key [H, D, d_k] and w_value [H, D, d_v],
-    as one [G, H, L, d_v] graph node that keeps xg's rows and the three
-    [D, H*d] weight matrices, not Q, K or V.
+    """Every head's softmax(Q K^T / sqrt(d_k)) V over x [..., L, D], with
+    Q, K, V = x @ w[h] for w_query, w_key [H, D, d_k] and w_value [H, D, d_v],
+    as one [..., L, H*d_v] graph node, each token's heads side by side. It
+    keeps x's [G*L, D] rows (one copy of a strided x, a view of a contiguous
+    one) and the three [D, H*d] weight matrices, not Q, K or V.
 
     Each projection is one [G*L, D] x [D, H*d] GEMM (a broadcast
-    ``xg[:, None] @ w`` would call BLAS per group and head), the queries are
-    scaled once, not the [.., L, L] scores, and ``attend_blocks`` runs the
-    core. The vjp recomputes Q, K and V with the same GEMMs, runs
-    ``attend_blocks_vjp`` and adds xg's three gradients in the order separate
+    ``x[..., None, :, :] @ w`` would call BLAS per group and head), the
+    queries are scaled once, not the [.., L, L] scores, and ``attend_blocks``
+    runs the core. The vjp recomputes Q, K and V with the same GEMMs, runs
+    ``attend_blocks_vjp`` and adds x's three gradients in the order separate
     nodes would, (Q + K) + V, so every value and gradient repeats bit for
     bit. ``capture`` is passed to ``attend_blocks``.
     """
-    G, L, D = xg.shape
+    *lead, L, D = x.shape
     H, d_k = w_query.shape[0], w_query.shape[-1]
     for w in (w_query, w_key, w_value):
         if w.shape[1] != D:
             raise ShapeError(f"input width {D} != parameter width {w.shape[1]}")
-    x2 = xg.data.reshape(G * L, D)
+    x2 = x.data.reshape(-1, D)
+    G = len(x2) // L
     w2s = [w.data.transpose(1, 0, 2).reshape(D, -1) for w in (w_query, w_key, w_value)]
     scale = 1.0 / np.sqrt(d_k)
 
@@ -197,37 +201,28 @@ def attention_heads(
     out = attend_blocks(*project(), blocks, capture)
 
     def vjp(g):
+        g = g.reshape(G, L, H, -1).transpose(0, 2, 1, 3)
         gq, gk, gv = attend_blocks_vjp(*project(), blocks, g)
         gq *= scale
         gx, gw = [], []
         for gh, w2 in zip((gq, gk.transpose(0, 1, 3, 2), gv), w2s):
             g2 = gh.transpose(0, 2, 1, 3).reshape(G * L, -1)
             gw.append((x2.T @ g2).reshape(D, H, -1).transpose(1, 0, 2))
-            gx.append((g2 @ w2.T).reshape(G, L, D))
-        return ((gx[0] + gx[1]) + gx[2], *gw)
+            gx.append(g2 @ w2.T)
+        return (((gx[0] + gx[1]) + gx[2]).reshape(*lead, L, D), *gw)
 
-    return Tensor._make(out, (xg, w_query, w_key, w_value), vjp)
+    heads = out.transpose(0, 2, 1, 3).reshape(*lead, L, -1)
+    return Tensor._make(heads, (x, w_query, w_key, w_value), vjp)
 
 
 def multi_head(x: Tensor, params: AttentionParams, capture: Optional[list] = None) -> Tensor:
-    """Multi-head attention over the trailing [L x D] axes of ``x``.
-
-    ``attention_heads`` forms every head's output in one graph node, and the
-    heads are concatenated and projected by w_out. When ``capture`` is a
-    list, the attention weights [G x H x L x L], G collapsing all leading
-    axes, are appended to it as a plain array outside the graph.
+    """Multi-head attention over the trailing [L x D] axes of ``x``: the
+    heads of ``attention_heads``, side by side, projected by w_out. When
+    ``capture`` is a list, the attention weights [G x H x L x L], G collapsing
+    all leading axes, are appended to it as a plain array outside the graph.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
-    L, D = x.shape[-2], x.shape[-1]
-    orig = x.shape
-    G = x.size // (L * D)
-    # one copy of a strided input (the horizontal layer's transposed grid),
-    # whose rows all three projections then read
-    xg = x.reshape(G, L, D)
-    att = attention_heads(xg, params.w_query, params.w_key, params.w_value, capture)
-    H, d_v = params.w_value.shape[0], params.w_value.shape[-1]
-    cat = att.permute(0, 2, 1, 3).reshape(G, L, H * d_v)
-    return (cat @ params.w_out).reshape(*orig)
+    return attention_heads(x, params.w_query, params.w_key, params.w_value, capture) @ params.w_out
 
 
 def feed_forward(y: Tensor, w_in: Tensor, w_out: Tensor) -> Tensor:

@@ -87,7 +87,8 @@ def embed_grid(padded: np.ndarray, W_p: Tensor, W_pos: Tensor, P: int, S: int) -
     Equivalent to cutting each variate's series into its [M x P] patch
     matrix and projecting that one variate at a time; the projection and
     position encoding are shared across variates, and the position encoding
-    depends only on the patch (time) axis.
+    depends only on the patch (time) axis. The patches are a strided
+    [B x M x N x P] view of ``padded``, which the projection keeps, not a copy.
     """
     padded = np.asarray(padded, dtype=np.float64)
     if padded.ndim != 3:
@@ -96,9 +97,7 @@ def embed_grid(padded: np.ndarray, W_p: Tensor, W_pos: Tensor, P: int, S: int) -
     if (Tp - P) % S != 0 or Tp < P:
         raise ShapeError(f"padded length {Tp} does not tile with patch {P} stride {S}")
     M = (Tp - P) // S + 1
-    idx = np.arange(M)[:, None] * S + np.arange(P)
-    # [B, M, P, N] -> [B, M, N, P]
-    patches = padded[:, idx, :].transpose(0, 1, 3, 2)
+    patches = np.lib.stride_tricks.sliding_window_view(padded, P, axis=1)[:, ::S]
     D = W_p.shape[1]
     if W_pos.shape != (M, D):
         raise ShapeError(

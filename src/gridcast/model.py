@@ -54,9 +54,13 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("T", "F", "P", "S", "D", "H", "L", "D_ff"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("T", "F", "P", "S", "D", "H", "L", "D_ff", "seed"):
+            # checkpoints may hold any JSON value; numpy takes no negative seed
+            value, least = getattr(self, name), 0 if name == "seed" else 1
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
         if self.T < self.P:
             raise ConfigError(f"T={self.T} is shorter than patch length P={self.P}")
         if self.S > self.P:
@@ -67,8 +71,6 @@ class ModelConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.mode not in MODES:
             raise ConfigError(f"mode={self.mode!r} must be one of {MODES}")
-        if self.seed < 0:  # numpy's generators take no negative seed
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def M(self) -> int:
@@ -229,7 +231,7 @@ def _restored(arrays, key: str, shape: tuple) -> np.ndarray:
     ``shape``."""
     try:
         loaded = arrays[key]
-    except (ValueError, zipfile.BadZipFile) as exc:  # an object array, or damaged bytes
+    except (ValueError, zipfile.BadZipFile, NotImplementedError) as exc:  # object array, bad zip
         raise ConfigError(f"{key} cannot be read: {exc}") from None
     if loaded.dtype.kind not in "fiu":
         raise ConfigError(f"{key} has dtype {loaded.dtype}, expected numbers")
@@ -280,16 +282,16 @@ def load_checkpoint(path) -> tuple:
     """Restore (params, config) from ``save_checkpoint`` output."""
     try:
         archive = np.load(path, allow_pickle=False)
-    except (OSError, zipfile.BadZipFile) as exc:
+    except (OSError, zipfile.BadZipFile, NotImplementedError) as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
     except (ValueError, EOFError):  # text, which numpy takes for a pickle, or an empty file
         archive = None
     if not isinstance(archive, np.lib.npyio.NpzFile):  # or an .npy file's array
         raise ConfigError(f"{path} is not a {CHECKPOINT_MAGIC} file")
     with archive:
-        try:
+        try:  # None when absent or unreadable
             magic = str(archive["__magic__"][()])
-        except (KeyError, IndexError, ValueError, zipfile.BadZipFile):  # absent or unreadable
+        except (KeyError, IndexError, ValueError, zipfile.BadZipFile, NotImplementedError):
             magic = None
         if magic != CHECKPOINT_MAGIC:
             raise ConfigError(f"{path} is not a {CHECKPOINT_MAGIC} file")
@@ -300,7 +302,8 @@ def load_checkpoint(path) -> tuple:
             norm_over = stored.pop("norm_over", "batch_and_tokens")
             stored.pop("N", None)
             config = ModelConfig(**stored)
-        except (KeyError, TypeError, AttributeError, ValueError, zipfile.BadZipFile) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError, zipfile.BadZipFile,
+                NotImplementedError) as exc:
             raise ConfigError(f"checkpoint {path} has no valid model config: {exc}") from exc
         if norm_over != "batch_and_tokens":
             raise ConfigError(f"checkpoint {path} uses norm_over = {norm_over}, which was dropped")

@@ -187,12 +187,15 @@ def attention_core(Qs, Kt, V, capture=None):
     return Tensor._make(out, (Qs, Kt, V), lambda g: attend_blocks_vjp(q, kt, v, blocks, g))
 
 
-def attention_heads_unfused(xg, w_query, w_key, w_value, capture=None):
+def attention_heads_unfused(x, w_query, w_key, w_value, capture=None):
     """``attention_heads`` as separate graph nodes: three ``project_heads``,
-    the queries' scale, the keys' permute and ``attention_core``."""
-    Q, K, V = (project_heads(xg, w) for w in (w_query, w_key, w_value))
+    the queries' scale, the keys' permute, ``attention_core``, and the
+    permute and reshape that set each token's heads side by side."""
+    Q, K, V = (project_heads(x, w) for w in (w_query, w_key, w_value))
     scale = 1.0 / np.sqrt(w_query.shape[-1])
-    return attention_core(Q * scale, K.permute(0, 1, 3, 2), V, capture)
+    heads = attention_core(Q * scale, K.permute(0, 1, 3, 2), V, capture)
+    H, d_v = V.shape[1], V.shape[-1]
+    return heads.permute(0, 2, 1, 3).reshape(*x.shape[:-1], H * d_v)
 
 
 def scaled_dot_attention(Q, K, V):
@@ -244,8 +247,8 @@ def softmax_three_temporaries(x, axis=-1):
 
 # Qs [G, H, L, d_k], Kt [G, H, d_k, L], V [G, H, L, d_v] and a weight on the output
 ATTENTION_SHAPES = [(3, 2, 4, 3), (3, 2, 3, 4), (3, 2, 4, 2), (3, 2, 4, 2)]
-# xg [G, L, D], w_query, w_key, w_value [H, D, d] and a weight on the [G, H, L, d] output
-HEADS_SHAPES = [(3, 4, 3), (2, 3, 2), (2, 3, 2), (2, 3, 2), (3, 2, 4, 2)]
+# x [G, L, D], w_query, w_key, w_value [H, D, d] and a weight on the [G, L, H*d] output
+HEADS_SHAPES = [(3, 4, 3), (2, 3, 2), (2, 3, 2), (2, 3, 2), (3, 4, 4)]
 
 
 def one_group_per_block(op, *args):
@@ -298,7 +301,7 @@ OP_CASES = [
     ),
     ("project_heads", lambda ts: (project_heads(ts[0], ts[1]) ** 2).sum(), [(2, 3, 4), (2, 4, 3)]),
     (
-        "attention_heads",  # xg [G=3, L=4, D=3] in one block
+        "attention_heads",  # x [G=3, L=4, D=3] in one block
         lambda ts: (attention_heads(*ts[:4]) * ts[4]).sum(),
         HEADS_SHAPES,
     ),
@@ -340,8 +343,15 @@ def _closure_arrays(value, seen: set):
 
 
 def _owner(a: np.ndarray) -> np.ndarray:
-    """The array whose buffer ``a`` views; ``a`` itself if it owns one."""
-    return a.base if isinstance(a.base, np.ndarray) else a
+    """The array whose buffer ``a`` views, found by following ``.base`` to
+    its end, through the wrapper ``as_strided`` sets between a strided view
+    and its array; ``a`` itself if it owns its buffer."""
+    owner, base = a, a.base
+    while base is not None:
+        if isinstance(base, np.ndarray):
+            owner = base
+        base = getattr(base, "base", None)
+    return owner
 
 
 def kept_arrays(root: Tensor) -> list:

@@ -302,9 +302,10 @@ def graph_nodes(t):
 
 def test_one_block_builds_the_unblocked_graph(monkeypatch):
     # multi_head builds the graph of the unblocked reference with one
-    # attention_heads node in place of its three projections, scale, permute,
-    # matmul, softmax and matmul, and gives its values and gradients bit for
-    # bit at any block budget: one block, then one group per block
+    # attention_heads node in place of its input reshape, three projections,
+    # scale, permute, matmul, softmax, matmul and the heads' permute and
+    # reshape, and no output reshape, and gives its values and gradients bit
+    # for bit at any block budget: one block, then one group per block
     p = make_params(D=4, H=2, seed=28)
     x = Tensor(rng(28).normal(size=(3, 5, 4)), requires_grad=True)
     xg = x.reshape(3, 5, 4)
@@ -314,7 +315,7 @@ def test_one_block_builds_the_unblocked_graph(monkeypatch):
         monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", budget)
         out = multi_head(x, p)
         assert (out.data == ref.data).all()
-        assert (graph_nodes(out), graph_nodes(ref)) == (11, 18)
+        assert (graph_nodes(out), graph_nodes(ref)) == (7, 18)
         grads = []
         for y in (out, ref):
             for t in [x] + [t for _, t in p.named()]:
@@ -327,16 +328,16 @@ def test_one_block_builds_the_unblocked_graph(monkeypatch):
 
 @pytest.mark.parametrize("rows", [7, 3])
 def test_attention_heads_is_bit_identical_to_the_unfused_nodes(rows, monkeypatch):
-    # the fused node against three project_heads, the scale, the permute and
-    # attention_core: output, the gradients of the input and of all three
-    # weights, and the captured weights, in one block of 7 groups and in
-    # blocks of 3, 3 and 1
+    # the fused node against three project_heads, the scale, the permute,
+    # attention_core and the heads' permute and reshape: output, the
+    # gradients of the input and of all three weights, and the captured
+    # weights, in one block of 7 groups and in blocks of 3, 3 and 1
     G, H, L, D = 7, 2, 5, 8
     monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", block_budget(rows, H, L))
     p = make_params(D=D, H=H, seed=30)
     r = rng(30)
     data = r.normal(size=(G, L, D))
-    g = r.normal(size=(G, H, L, D // H))
+    g = r.normal(size=(G, L, D))
     results = []
     for heads in (attention_heads, attention_heads_unfused):
         xg = Tensor(data, requires_grad=True)
@@ -358,11 +359,11 @@ def test_attention_heads_keeps_no_projections_or_weights_and_recomputes_them_und
     # its three [8, 16] weight matrices: none of the three [2, 2, 64, 8]
     # projections (16 KB each) or the [2, 2, 64, 64] weights (131 KB) its
     # forward formed; backward re-forms them, inside no_grad too, and gives
-    # the same gradients
+    # the same gradients for the [2, 64, 16] output
     r = rng(29)
     xg = Tensor(r.normal(size=(2, 64, 8)), requires_grad=True)
     ws = [Tensor(r.normal(size=(2, 8, 8)), requires_grad=True) for _ in range(3)]
-    g = r.normal(size=(2, 2, 64, 8))
+    g = r.normal(size=(2, 64, 16))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -380,6 +381,36 @@ def test_attention_heads_keeps_no_projections_or_weights_and_recomputes_them_und
     attention_heads(xg, *ws).backward(g)
     for t, w in zip((xg, *ws), want):
         assert w is not None and (t.grad == w).all()
+
+
+@pytest.mark.parametrize("rows", [6, 1])
+def test_attention_heads_on_a_transposed_grid_matches_its_contiguous_copy(rows, monkeypatch):
+    # the horizontal layer's input, a [B, N, M, D] permuted view of the grid,
+    # against its contiguous [B*N, M, D] copy: the output, the grid's
+    # gradient and all three weights' gradients, bit for bit
+    B, M, N, D, H = 2, 5, 3, 8, 2
+    monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", block_budget(rows, H, M))
+    p = make_params(D=D, H=H, seed=31)
+    ws = (p.w_query, p.w_key, p.w_value)
+    r = rng(31)
+    grid = Tensor(r.normal(size=(B, M, N, D)), requires_grad=True)
+    g = r.normal(size=(B, N, M, D))
+    moved = grid.permute(0, 2, 1, 3)
+    assert not moved.data.flags.c_contiguous
+    out = attention_heads(moved, *ws)
+    out.backward(g)
+    got = [out.data, grid.grad] + [w.grad for w in ws]
+    for w in ws:
+        w.zero_grad()
+    flat = Tensor(np.ascontiguousarray(moved.data).reshape(B * N, M, D), requires_grad=True)
+    ref = attention_heads(flat, *ws)
+    ref.backward(g.reshape(B * N, M, D))
+    want = [
+        ref.data.reshape(B, N, M, D),
+        flat.grad.reshape(B, N, M, D).transpose(0, 2, 1, 3),
+    ] + [w.grad for w in ws]
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and (a == b).all()
 
 
 def test_blocked_forward_captures_one_map_per_layer(monkeypatch):

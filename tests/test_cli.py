@@ -425,6 +425,9 @@ def _corrupt(archive, case):
     elif case == "negative_seed":
         config = json.loads(str(archive["__config__"][()]))
         archive["__config__"] = np.array(json.dumps({**config, "seed": -1}))
+    elif case == "float_T":
+        config = json.loads(str(archive["__config__"][()]))
+        archive["__config__"] = np.array(json.dumps({**config, "T": 32.5}))
 
 
 CORRUPTION_ERRORS = {
@@ -437,6 +440,7 @@ CORRUPTION_ERRORS = {
     "object_magic": "is not a gridcast-checkpoint-1 file",
     "object_config": "has no valid model config",
     "negative_seed": "has no valid model config: seed must be >= 0, got -1",
+    "float_T": "has no valid model config: T must be an integer, got 32.5",
 }
 
 
@@ -454,6 +458,25 @@ def test_forecast_corrupt_checkpoint_is_one_line_error(case, workspace, tmp_path
     assert code == 2
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert CORRUPTION_ERRORS[case] in captured.err
+    assert captured.out == ""
+
+
+def test_forecast_checkpoint_of_a_zip_version_zipfile_cannot_read_is_one_line_error(
+    workspace, tmp_path, capsys
+):
+    # "version needed to extract" 24.0 in the first central-directory header:
+    # zipfile raises NotImplementedError, not BadZipFile
+    data = bytearray((workspace["out"] / "model_F8.ckpt").read_bytes())
+    header = data.index(b"PK\x01\x02")
+    data[header + 6 : header + 8] = (240).to_bytes(2, "little")
+    ckpt = tmp_path / "v24.ckpt"
+    ckpt.write_bytes(bytes(data))
+    path, _ = window_csv(workspace, tmp_path)
+    capsys.readouterr()
+    code = main(["forecast", "--checkpoint", str(ckpt), "--window", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: cannot read checkpoint {ckpt}: zip file version 24.0\n"
     assert captured.out == ""
 
 
@@ -634,6 +657,7 @@ CHECKPOINT = "<workspace checkpoint>"  # stands for the workspace's model_F8.ckp
         (["train", "--sweep", "model.F"], "--sweep"),
         (["train", "--sweep", "model.seed=1"], "unknown config key 'model.seed'"),
         (["train", "--sweep", "model.F=8,4,08"], "--sweep repeats a value"),
+        (["train", "--set", "model.T=1.5"], "model.T expects int"),
     ],
 )
 def test_malformed_setting_is_one_line_usage_error(argv, named, workspace, tmp_path, capsys):

@@ -33,6 +33,25 @@ def test_demo_runs(demo, tmp_path):
     assert os.listdir(tmp_path) == []  # the demo removed what it wrote
 
 
+def test_importing_gridcast_loads_only_the_standard_library_and_numpy():
+    # numpy stays the only runtime dependency, and ``import gridcast`` is what
+    # the benchmark's setup_s times in every fresh process
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gridcast.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = (
+        "import sys; before = set(sys.modules); import gridcast; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = {name.split(".")[0] for name in done.stdout.split()}
+    assert {"gridcast", "numpy"} <= loaded
+    assert loaded - set(sys.stdlib_module_names) - {"gridcast", "numpy"} == set()
+
+
 def test_public_names_resolve_and_cover_the_readme():
     for name in gridcast.__all__:
         assert getattr(gridcast, name) is not None, name

@@ -49,6 +49,10 @@ def test_config_derived_patch_count():
         (dict(mode="diagonal"), "mode"),
         (dict(L=0), "L"),
         (dict(seed=-1), "seed"),
+        (dict(T=32.5), "T must be an integer, got 32.5"),
+        (dict(D_ff=32.0), "D_ff must be an integer"),
+        (dict(L=True), "L must be an integer, got True"),
+        (dict(seed="0"), "seed must be an integer"),
     ],
 )
 def test_config_validation_names_field(kw, field):

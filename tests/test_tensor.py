@@ -354,7 +354,7 @@ def test_grad_check_concat_rows(shape, monkeypatch):
     r = rng(32)
     xg = Tensor(r.normal(size=(G, L, 3)))
     ws = [Tensor(r.normal(size=(H, 3, d))) for _ in range(3)]
-    w = Tensor(r.normal(size=(G, H, L, d)))
+    w = Tensor(r.normal(size=(G, L, H * d)))
 
     def fn(ts):
         return (attention_heads(*ts) ** 2 * w).sum()
@@ -370,8 +370,8 @@ def test_row_slice_scatter_copies_a_gradient_another_parent_holds(monkeypatch):
     r = rng(33)
     x, y = (Tensor(r.normal(size=(3, 4, 3)), requires_grad=True) for _ in range(2))
     ws = [Tensor(r.normal(size=(2, 3, 2)), requires_grad=True) for _ in range(3)]
-    z = Tensor(r.normal(size=(3, 2, 4, 2)), requires_grad=True)
-    g = r.normal(size=(3, 2, 4, 2))
+    z = Tensor(r.normal(size=(3, 4, 4)), requires_grad=True)
+    g = r.normal(size=(3, 4, 4))
     u = r.normal(size=(3, 4, 3))
     loss = ((attention_heads(x, *ws) + z) * Tensor(g)).sum() + ((x + y) * Tensor(u)).sum()
     loss.backward()

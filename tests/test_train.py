@@ -347,12 +347,13 @@ def test_train_frees_each_step_graph_before_the_next_forward(monkeypatch):
     assert seen_alive[: steps + 1] == [0] * (steps + 1)
 
 
-def kept_by_training_forward(N, B=4):
-    """Bytes a training forward of the reference model (dropout 0.2) on B
-    windows of N variates leaves alive until backward, and the activations
-    its graph keeps: ``oracles.kept_arrays`` without the parameters. Its
-    parameters' gradients are finite."""
-    cfg = ModelConfig(T=96, F=24)
+def kept_by_training_forward(N, B=4, **model):
+    """Bytes a training forward of the reference model (dropout 0.2), with
+    ``model``'s config fields changed, on B windows of N variates leaves
+    alive until backward, and the activations its graph keeps:
+    ``oracles.kept_arrays`` without the parameters. Its parameters'
+    gradients are finite."""
+    cfg = ModelConfig(T=96, F=24, **model)
     params = build(cfg, rng(0))
     x = rng(5).normal(size=(B, cfg.T + cfg.F, N))
     drop = rng(7)
@@ -385,7 +386,9 @@ def test_a_training_forward_keeps_only_what_backward_reads():
     # 1,705,120 once each vjp kept only what its parents' gradients read,
     # 1,457,976 since the attention weights are recomputed in backward,
     # 1,059,320 since Q, K and V are recomputed from the layer input too,
-    # 664,000 since the FFN's hidden array and gelu's slope are too.
+    # 664,000 since the FFN's hidden array and gelu's slope are too,
+    # about 639,750 since the embedding keeps a view of the padded series,
+    # not a copy of its patches.
     # Pinning one more [4, 12, 8, 32] FFN array per layer (98 KB) crosses
     # the bound.
     kept, activations = kept_by_training_forward(8)
@@ -401,6 +404,20 @@ def test_a_training_forward_keeps_no_d_ff_wide_activation():
     assert activations, "the walk found no kept arrays"
     wide = [(op, a.shape) for op, a in activations if a.shape[-1:] == (D_ff,)]
     assert wide == []
+
+
+def test_a_training_forward_keeps_no_patch_buffer():
+    # the embedding's node keeps the [B, T', N] padded series that its
+    # [B, M, N, P] patches view, not a patch-sized copy; D=8 keeps the token
+    # grids smaller than the patches, which have P = 16 entries per token
+    B, N = 4, 8
+    cfg = ModelConfig(T=96, F=24, D=8)
+    _, activations = kept_by_training_forward(N, B, D=8)
+    owners = [oracles._owner(a) for _, a in activations]
+    padded_len = (cfg.M - 1) * cfg.S + cfg.P
+    patch_sized = [o.shape for o in owners if o.size == B * cfg.M * N * cfg.P]
+    assert patch_sized == []
+    assert (B, padded_len, N) in [o.shape for o in owners]
 
 
 def test_kept_bytes_grow_linearly_in_the_variates():
