@@ -7,30 +7,23 @@ Both directions run the same ``encoder_layer`` over the trailing [L x D] axes:
 horizontal on the grid viewed as [B x N x M x D], vertical on the grid as it
 is, which equals transpose -> horizontal -> transpose without the permutes.
 
-Each layer's heads, softmax(Q K^T / sqrt(d_k)) V, are one graph node per
-layer, ``attention_heads``, from the layer input [..., L, D] to each token's
-heads side by side, [..., L, H*d_v], cache-blocked after the tiling of
-FlashAttention (Dao et al., arXiv 2205.14135): it splits the G groups into
-blocks whose [rows, H, L, L] scores fit ``SCORE_BLOCK_BYTES`` and runs scores
--> softmax -> weighted sum on one block at a time, so the score-sized arrays
-stay in cache instead of streaming through memory (a [192, 4, 128, 128] score
-array is 100 MB). The node keeps the layer input's rows and no Q, K, V or
-weights: its vjp recomputes them with the same kernels on the same views, as
-FlashAttention's backward and the activation checkpointing of Chen et al.
-(arXiv 1604.06174) do. So a training forward leaves no N x N array for
-backward, and every weight, value and gradient repeats bit for bit, on the
-whole array as in blocks, since every group is independent.
+Each layer's heads, softmax(Q K^T / sqrt(d_k)) V, are one graph node,
+``attention_heads``, that keeps the layer input and recomputes Q, K, V and
+the weights in backward, as FlashAttention (Dao et al., arXiv 2205.14135)
+does. ``attend_blocks`` and its vjp run the core on blocks of groups whose
+scores stay in cache, so a training forward leaves no N x N array for
+backward, and every value and gradient repeats bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from gridcast.errors import ConfigError, ShapeError
-from gridcast.tensor import BatchNormState, Tensor, batch_norm, checkpoint, dropout, no_grad
+from gridcast.tensor import BatchNormState, Tensor, batch_norm, checkpoint, dropout
 
 DIRECTIONS = ("horizontal", "vertical")
 # layer orders; the last two attend in one direction only, the paper's ablations
@@ -93,11 +86,9 @@ class AttentionParams:
 
     def named(self, prefix: str = "") -> list:
         return [
-            (prefix + name, getattr(self, name))
-            for name in (
-                "w_query", "w_key", "w_value", "w_out", "ffn_in", "ffn_out",
-                "norm1_gamma", "norm1_beta", "norm2_gamma", "norm2_beta",
-            )
+            (prefix + f.name, value)
+            for f in fields(self)
+            if isinstance(value := getattr(self, f.name), Tensor)
         ]
 
 
@@ -126,42 +117,40 @@ def score_blocks(G: int, H: int, L: int) -> list:
     return [slice(start, min(start + rows, G)) for start in range(0, G, rows)]
 
 
-def attend_blocks(q, kt, v, blocks: list, capture: Optional[list] = None) -> np.ndarray:
+def attend_blocks(q, kt, v, capture: Optional[list] = None) -> np.ndarray:
     """softmax(q @ kt) @ v for [G, H, L, d_k] queries q (already scaled),
     [G, H, d_k, L] keys kt and [G, H, L, d_v] values v, run as
-    ``(q @ kt).softmax(axis=-1) @ v`` under ``no_grad`` on each block of
-    groups in ``blocks``. Each block is written into one [G, L, H, d_v]
-    buffer, whose [G, H, L, d_v] transposed view is returned. When
-    ``capture`` is a list, the weights [G, H, L, L] are appended to it."""
+    ``(q @ kt).softmax(axis=-1) @ v`` (no node: the operands need no
+    gradient) on each block of ``score_blocks``'s cut of the groups, written
+    into one [G, L, H, d_v] buffer whose [G, H, L, d_v] view is returned.
+    When ``capture`` is a list, the weights [G, H, L, L] are appended to it."""
     G, H, L, d_v = v.shape
     out = np.empty((G, L, H, d_v)).transpose(0, 2, 1, 3)
     if capture is not None:
         capture.append(np.empty((G, H, L, L)))
-    with no_grad():
-        for b in blocks:
-            w = (Tensor(q[b]) @ Tensor(kt[b])).softmax(axis=-1)
-            out[b] = (w @ Tensor(v[b])).data
-            if capture is not None:
-                capture[-1][b] = w.data
+    for b in score_blocks(G, H, L):
+        w = (Tensor(q[b]) @ Tensor(kt[b])).softmax(axis=-1)
+        out[b] = (w @ Tensor(v[b])).data
+        if capture is not None:
+            capture[-1][b] = w.data
     return out
 
 
-def attend_blocks_vjp(q, kt, v, blocks: list, g: np.ndarray) -> tuple:
+def attend_blocks_vjp(q, kt, v, g: np.ndarray) -> tuple:
     """The gradients of q, kt and v for ``attend_blocks``'s output gradient g.
 
-    Re-forms each block's weights with a graph, writes v's gradient
-    ``w^T g`` and pulls ``g v^T`` back through the softmax and the scores by
-    ``Tensor.backward(grad)``: the kernels and views of the forward and of
-    ``@``'s vjp, so every weight and gradient repeats bit for bit.
+    Cuts the same blocks, re-forms each block's weights with a graph, writes
+    v's gradient ``w^T g`` and pulls ``g v^T`` back through the softmax and
+    the scores by ``Tensor.backward(grad)``: the kernels and views of the
+    forward and of ``@``'s vjp, so every weight and gradient repeats bit for bit.
     """
     gq, gk, gv = np.empty(q.shape), np.empty(kt.shape), np.empty(v.shape)
-    with no_grad(False):  # backward may run inside no_grad
-        for b in blocks:
-            qb, kb = Tensor(q[b], requires_grad=True), Tensor(kt[b], requires_grad=True)
-            w = (qb @ kb).softmax(axis=-1)
-            gv[b] = np.matmul(np.swapaxes(w.data, -1, -2), g[b])
-            w.backward(np.matmul(g[b], np.swapaxes(v[b], -1, -2)))
-            gq[b], gk[b] = qb.grad, kb.grad
+    for b in score_blocks(*q.shape[:3]):
+        qb, kb = Tensor(q[b], requires_grad=True), Tensor(kt[b], requires_grad=True)
+        w = (qb @ kb).softmax(axis=-1)
+        gv[b] = np.matmul(np.swapaxes(w.data, -1, -2), g[b])
+        w.backward(np.matmul(g[b], np.swapaxes(v[b], -1, -2)))
+        gq[b], gk[b] = qb.grad, kb.grad
     return gq, gk, gv
 
 
@@ -197,12 +186,11 @@ def attention_heads(
         q, k, v = ((x2 @ w2).reshape(G, L, H, -1).transpose(0, 2, 1, 3) for w2 in w2s)
         return q * scale, k.transpose(0, 1, 3, 2), v
 
-    blocks = score_blocks(G, H, L)
-    out = attend_blocks(*project(), blocks, capture)
+    out = attend_blocks(*project(), capture)
 
     def vjp(g):
         g = g.reshape(G, L, H, -1).transpose(0, 2, 1, 3)
-        gq, gk, gv = attend_blocks_vjp(*project(), blocks, g)
+        gq, gk, gv = attend_blocks_vjp(*project(), g)
         gq *= scale
         gx, gw = [], []
         for gh, w2 in zip((gq, gk.transpose(0, 1, 3, 2), gv), w2s):

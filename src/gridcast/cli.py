@@ -311,13 +311,10 @@ def _keep_freed_memory() -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one subcommand and return its exit code (0, 1 or 2).
 
-    On glibc the process keeps freed memory mapped (see ``_keep_freed_memory``).
-    A training step at N=128 allocates and frees some 240 MB, none of it in
-    arrays above 6 MB. With glibc's default thresholds part of it is mapped
-    fresh and the freed heap is returned to the OS between steps, so each step
-    page-faults it back in: about 58,000 minor faults and a sixth to a third
-    more CPU time per step than with both thresholds raised (README). The cost
-    is that resident memory stays at its peak until the process exits. Library
+    On glibc the process keeps freed memory mapped (see ``_keep_freed_memory``
+    and the README): with glibc's default thresholds each training step
+    page-faults back in part of what the last one freed. The cost is that
+    resident memory stays at its peak until the process exits. Library
     callers of ``train()`` can get the same behaviour by setting both
     ``MALLOC_MMAP_THRESHOLD_`` and ``MALLOC_TRIM_THRESHOLD_`` in the
     environment before the process starts.

@@ -333,35 +333,3 @@ def synthetic_sines(
     values += noise * rng.standard_normal(values.shape)
     return TimeSeriesDataset(name=name, values=values)
 
-
-def synthetic_long_memory(
-    timesteps: int,
-    n_variates: int = 2,
-    period: int = 200,
-    knots: int = 8,
-    noise: float = 0.05,
-    seed: int = 0,
-    name: str = "synthetic-long-memory",
-) -> TimeSeriesDataset:
-    """Periodic random step pattern whose cycle exceeds short lookbacks.
-
-    Each variate repeats a fixed pattern of ``knots`` random +-1 levels,
-    cosine-smoothed, with period ``period``. A lookback longer than one period
-    can copy the previous cycle; a shorter one faces ambiguous level patterns.
-    """
-    if period % knots != 0:
-        raise DataError(f"period {period} must be divisible by knots {knots}")
-    seg = period // knots
-    rng = np.random.default_rng(seed)
-    values = np.empty((timesteps, n_variates))
-    u = (1.0 - np.cos(np.pi * np.arange(seg) / seg)) / 2.0  # 0 -> 1 ramp
-    for n in range(n_variates):
-        levels = rng.choice([-1.0, 1.0], size=knots)
-        if np.all(levels == levels[0]):
-            levels[rng.integers(knots)] *= -1.0  # keep the pattern non-constant
-        nxt = np.roll(levels, -1)
-        pattern = (levels[:, None] + (nxt - levels)[:, None] * u).ravel()
-        reps = -(-timesteps // period)
-        values[:, n] = np.tile(pattern, reps)[:timesteps]
-    values += noise * rng.standard_normal(values.shape)
-    return TimeSeriesDataset(name=name, values=values)

@@ -10,8 +10,10 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import lzma
 import os
 import zipfile
+import zlib
 from dataclasses import asdict, dataclass
 from typing import List, Optional
 
@@ -31,6 +33,9 @@ from gridcast.errors import ConfigError, NumericError, ShapeError
 from gridcast.tensor import Tensor
 
 CHECKPOINT_MAGIC = "gridcast-checkpoint-1"
+# a member that is an object array, a bad zip entry, a corrupt stream or a huge header
+_MEMBER_ERRORS = (ValueError, zipfile.BadZipFile, NotImplementedError, zlib.error,
+                  lzma.LZMAError, MemoryError, OSError)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -231,7 +236,7 @@ def _restored(arrays, key: str, shape: tuple) -> np.ndarray:
     ``shape``."""
     try:
         loaded = arrays[key]
-    except (ValueError, zipfile.BadZipFile, NotImplementedError) as exc:  # object array, bad zip
+    except (KeyError, *_MEMBER_ERRORS) as exc:
         raise ConfigError(f"{key} cannot be read: {exc}") from None
     if loaded.dtype.kind not in "fiu":
         raise ConfigError(f"{key} has dtype {loaded.dtype}, expected numbers")
@@ -249,8 +254,6 @@ def load_state_arrays(params: ModelParams, arrays) -> None:
     array must hold finite numbers in its parameter's shape, each running
     statistic [1, 1, 1, D] and stored with its partner."""
     for name, tensor in params.named_parameters():
-        if "param/" + name not in arrays:
-            raise ConfigError(f"missing parameter {name}")
         tensor.data = _restored(arrays, "param/" + name, tensor.data.shape)
     for i, layer in enumerate(params.layers):
         stat_shape = (1, 1, 1, layer.norm1_gamma.shape[0])
@@ -264,6 +267,18 @@ def load_state_arrays(params: ModelParams, arrays) -> None:
                 state.running_var = _restored(arrays, var, stat_shape)
             else:
                 state.running_mean = state.running_var = None
+
+
+def _check_stored_shapes(archive, config: ModelConfig) -> None:
+    """Check the stored layer numbers and the shapes each config field sets."""
+    layers = {name.split(".")[1] for name in archive.files if name.startswith("param/layers.")}
+    if layers != {str(i) for i in range(config.L)}:
+        raise ConfigError(f"its stored layers are not numbered 0..L-1 for L={config.L}")
+    P, M, D, H, F = config.P, config.M, config.D, config.H, config.F
+    shapes = {"W_p": (P, D), "W_pos": (M, D), "head_w": (M * D, F),
+              "layers.0.w_query": (H, D, D // H), "layers.0.ffn_in": (D, config.D_ff)}
+    for name, shape in shapes.items():
+        _restored(archive, "param/" + name, shape)
 
 
 def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
@@ -291,7 +306,7 @@ def load_checkpoint(path) -> tuple:
     with archive:
         try:  # None when absent or unreadable
             magic = str(archive["__magic__"][()])
-        except (KeyError, IndexError, ValueError, zipfile.BadZipFile, NotImplementedError):
+        except (KeyError, IndexError, *_MEMBER_ERRORS):
             magic = None
         if magic != CHECKPOINT_MAGIC:
             raise ConfigError(f"{path} is not a {CHECKPOINT_MAGIC} file")
@@ -302,13 +317,13 @@ def load_checkpoint(path) -> tuple:
             norm_over = stored.pop("norm_over", "batch_and_tokens")
             stored.pop("N", None)
             config = ModelConfig(**stored)
-        except (KeyError, TypeError, AttributeError, ValueError, zipfile.BadZipFile,
-                NotImplementedError) as exc:
+        except (KeyError, TypeError, AttributeError, *_MEMBER_ERRORS) as exc:
             raise ConfigError(f"checkpoint {path} has no valid model config: {exc}") from exc
         if norm_over != "batch_and_tokens":
             raise ConfigError(f"checkpoint {path} uses norm_over = {norm_over}, which was dropped")
-        params = build(config)
         try:
+            _check_stored_shapes(archive, config)
+            params = build(config)
             load_state_arrays(params, archive)
         except ConfigError as exc:
             raise ConfigError(f"checkpoint {path}: {exc}") from None

