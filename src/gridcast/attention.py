@@ -209,7 +209,7 @@ def multi_head(x: Tensor, params: AttentionParams, capture: Optional[list] = Non
     ``capture`` is a list, the attention weights [G x H x L x L], G collapsing
     all leading axes, are appended to it as a plain array outside the graph.
     """
-    x = x if isinstance(x, Tensor) else Tensor(x)
+    x = Tensor._coerce(x)
     return attention_heads(x, params.w_query, params.w_key, params.w_value, capture) @ params.w_out
 
 
@@ -236,7 +236,7 @@ def encoder_layer(
     backward, bit for bit, so a training forward keeps no D_ff-wide array.
     ``capture`` is passed to ``multi_head``.
     """
-    x = x if isinstance(x, Tensor) else Tensor(x)
+    x = Tensor._coerce(x)
     att = multi_head(x, params, capture)
     y1 = batch_norm(
         x + dropout(att, dropout_rate, rng, training),

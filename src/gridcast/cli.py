@@ -201,33 +201,30 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _load_window(args, cfg):
+def _forecast_window(args, capture_attention: bool = False) -> tuple:
+    """Load ``args.checkpoint``, read the ``args.window`` CSV, check that it
+    holds T rows and return the ``no_grad`` forward's (prediction, maps)."""
+    params, cfg = load_checkpoint(args.checkpoint)
     win = load_csv(args.window, drop_columns=parse_columns(args.drop_columns))
     if win.timesteps != cfg.T:
         raise ConfigError(
             f"window {args.window} has {win.timesteps} rows but the checkpoint "
             f"expects T={cfg.T}"
         )
-    return win
+    with no_grad():
+        return forward(win.values[None], params, cfg, capture_attention)
 
 
 def cmd_forecast(args) -> int:
-    params, cfg = load_checkpoint(args.checkpoint)
-    win = _load_window(args, cfg)
-    with no_grad():
-        pred, _ = forward(win.values[None], params, cfg)
+    pred, _ = _forecast_window(args)
     rows = [[repr(float(v)) for v in row] for row in pred.data[0]]  # [F, N]
     _output(rows, args.out_file, echo=False)
     return 0
 
 
 def cmd_export_attention(args) -> int:
-    params, cfg = load_checkpoint(args.checkpoint)
-    win = _load_window(args, cfg)
-    with no_grad():
-        _, maps = forward(win.values[None], params, cfg, capture_attention=True)
-    paths = export_attention(maps, args.out_dir)
-    for path in paths:
+    _, maps = _forecast_window(args, capture_attention=True)
+    for path in export_attention(maps, args.out_dir):
         print(path)
     return 0
 

@@ -98,6 +98,8 @@ def _convert(spec, key: str, raw: str):
 
 def set_key(config: RunConfig, key: str, raw: str) -> None:
     key, raw = key.strip(), raw.strip()
+    if len(raw.splitlines()) > 1:  # the file format holds one line per key
+        raise ConfigError(f"{key} must be one line, got {raw!r}")
     section, _, name = key.partition(".")
     if name in _SECTIONS.get(section, ()):
         getattr(config, section)[name] = _convert(_SECTIONS[section][name], key, raw)

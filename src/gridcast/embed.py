@@ -72,35 +72,24 @@ def pad_tail(x: np.ndarray, P: int, S: int) -> np.ndarray:
     divides T - P this appends exactly S rows.
     """
     x = np.asarray(x)
-    T = x.shape[-2]
-    target = (patch_count(T, P, S) - 1) * S + P
-    extra = target - T
-    last = x[..., -1:, :]
-    reps = [1] * x.ndim
-    reps[-2] = extra
-    return np.concatenate([x, np.tile(last, reps)], axis=-2)
+    extra = (patch_count(x.shape[-2], P, S) - 1) * S + P - x.shape[-2]
+    return np.concatenate([x, np.repeat(x[..., -1:, :], extra, axis=-2)], axis=-2)
 
 
 def embed_grid(padded: np.ndarray, W_p: Tensor, W_pos: Tensor, P: int, S: int) -> Tensor:
     """Embed a padded batch [B x T' x N] into the grid [B x M x N x D].
 
-    Equivalent to cutting each variate's series into its [M x P] patch
-    matrix and projecting that one variate at a time; the projection and
-    position encoding are shared across variates, and the position encoding
-    depends only on the patch (time) axis. The patches are a strided
+    M and D are ``W_pos``'s shape, T' must be (M - 1) * S + P and ``W_p``
+    [P x D]. Equivalent to cutting each variate's series into its [M x P]
+    patch matrix and projecting that one variate at a time; the projection
+    and position encoding are shared across variates, and the position
+    encoding depends only on the patch (time) axis. The patches are a strided
     [B x M x N x P] view of ``padded``, which the projection keeps, not a copy.
     """
     padded = np.asarray(padded, dtype=np.float64)
-    if padded.ndim != 3:
-        raise ShapeError(f"expected [B,T',N], got shape {padded.shape}")
-    Tp = padded.shape[1]
-    if (Tp - P) % S != 0 or Tp < P:
-        raise ShapeError(f"padded length {Tp} does not tile with patch {P} stride {S}")
-    M = (Tp - P) // S + 1
+    M, D = W_pos.shape
+    if padded.ndim != 3 or padded.shape[1] != (M - 1) * S + P or W_p.shape != (P, D):
+        raise ShapeError(f"padded batch {padded.shape} and W_p {W_p.shape} do not fit "
+                         f"W_pos {W_pos.shape} at patch {P} stride {S}")
     patches = np.lib.stride_tricks.sliding_window_view(padded, P, axis=1)[:, ::S]
-    D = W_p.shape[1]
-    if W_pos.shape != (M, D):
-        raise ShapeError(
-            f"position encoding shape {W_pos.shape} does not match [{M},{D}]"
-        )
     return Tensor(patches) @ W_p + W_pos.reshape(M, 1, D)

@@ -7,6 +7,7 @@ the sequencing mode -> a flatten head shared across variates -> denormalize.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import json
@@ -60,8 +61,8 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("T", "F", "P", "S", "D", "H", "L", "D_ff", "seed"):
-            # checkpoints may hold any JSON value; numpy takes no negative seed
-            value, least = getattr(self, name), 0 if name == "seed" else 1
+            # checkpoints may hold any JSON value; RevIN needs T >= 2; seeds start at 0
+            value, least = getattr(self, name), {"T": 2, "seed": 0}.get(name, 1)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if value < least:
@@ -103,10 +104,9 @@ class ModelParams:
         return sum(t.size for _, t in self.named_parameters())
 
 
-def build(config: ModelConfig, rng: Optional[np.random.Generator] = None) -> ModelParams:
-    """Initialize parameters (Xavier-uniform fan scaling), deterministic per seed."""
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+def build(config: ModelConfig) -> ModelParams:
+    """Initialize parameters (Xavier-uniform fan scaling), drawn from ``config.seed``."""
+    rng = np.random.default_rng(config.seed)
     M, D = config.M, config.D
     return ModelParams(
         W_p=xavier_uniform(rng, config.P, D),
@@ -132,7 +132,8 @@ def forward(
     N may be any width, such as a training-time variate subset or a dataset
     other than the training one: every parameter is shared across variates.
     Returns (prediction Tensor, attention maps or None); maps are head- and
-    batch-averaged, one per layer in application order.
+    batch-averaged, one per layer in application order. Training with
+    dropout > 0 needs ``rng``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
@@ -160,9 +161,7 @@ def forward(
             capture=captured,
         )
 
-    M, D = config.M, config.D
-    moved = grid.permute(0, 2, 1, 3)  # [B, N, M, D]
-    flat = moved.reshape(B, N, M * D)
+    flat = grid.permute(0, 2, 1, 3).reshape(B, N, config.M * config.D)  # [B, N, M*D]
     pred = flat @ params.head_w + params.head_b  # [B, N, F]
     y_norm = pred.permute(0, 2, 1)  # [B, F, N]
     maps = None
@@ -194,7 +193,7 @@ def export_attention(maps: Optional[List[AttentionMap]], out_dir) -> list:
 
 @contextlib.contextmanager
 def write_atomic(path, mode: str = "w", **open_kwargs):
-    """Open a temporary file beside ``path`` for writing and yield it.
+    """Open a temporary file beside ``path`` for writing, text in UTF-8, and yield it.
 
     When the block ends normally the file is closed and ``os.replace``d onto
     ``path``; when it raises, the temporary file is removed and ``path`` keeps
@@ -202,7 +201,7 @@ def write_atomic(path, mode: str = "w", **open_kwargs):
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, mode, **open_kwargs) as fh:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8", **open_kwargs) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -218,16 +217,22 @@ def write_csv(path, rows) -> None:
         csv.writer(fh).writerows(rows)
 
 
+def _norm_states(params: ModelParams):
+    """(checkpoint key prefix, state) of each batch norm, in layer order."""
+    for i, layer in enumerate(params.layers):
+        yield f"state/layers.{i}.norm1.running_", layer.norm1_state
+        yield f"state/layers.{i}.norm2.running_", layer.norm2_state
+
+
 def state_arrays(params: ModelParams) -> dict:
     """Every parameter and batch-norm running statistic by checkpoint name:
-    ``param/<name>`` and ``state/layers.<i>.norm<k>.running_mean|var``, the
-    latter only once the statistics exist. The arrays are not copied."""
+    ``param/<name>`` and ``state/layers.<i>.norm<k>.running_mean|var``
+    (``_norm_states``), the latter only once the statistics exist; not copied."""
     arrays = {"param/" + name: tensor.data for name, tensor in params.named_parameters()}
-    for i, layer in enumerate(params.layers):
-        for tag, state in (("norm1", layer.norm1_state), ("norm2", layer.norm2_state)):
-            if state.running_mean is not None:
-                arrays[f"state/layers.{i}.{tag}.running_mean"] = state.running_mean
-                arrays[f"state/layers.{i}.{tag}.running_var"] = state.running_var
+    for prefix, state in _norm_states(params):
+        if state.running_mean is not None:
+            arrays[prefix + "mean"] = state.running_mean
+            arrays[prefix + "var"] = state.running_var
     return arrays
 
 
@@ -249,36 +254,35 @@ def _restored(arrays, key: str, shape: tuple) -> np.ndarray:
 
 
 def load_state_arrays(params: ModelParams, arrays) -> None:
-    """Set ``params`` from copies of ``state_arrays``-named arrays; running
-    statistics absent from ``arrays`` restore to None (never updated). Every
-    array must hold finite numbers in its parameter's shape, each running
-    statistic [1, 1, 1, D] and stored with its partner."""
+    """Set ``params`` from copies of the mapping ``arrays``' ``state_arrays``-named
+    arrays, absent running statistics to None (never updated). Every array must
+    hold finite numbers in its parameter's shape, each running statistic
+    [1, 1, 1, D] and stored with its partner."""
     for name, tensor in params.named_parameters():
         tensor.data = _restored(arrays, "param/" + name, tensor.data.shape)
-    for i, layer in enumerate(params.layers):
-        stat_shape = (1, 1, 1, layer.norm1_gamma.shape[0])
-        for tag, state in (("norm1", layer.norm1_state), ("norm2", layer.norm2_state)):
-            prefix = f"state/layers.{i}.{tag}.running_"
-            mean, var = prefix + "mean", prefix + "var"
-            if (mean in arrays) != (var in arrays):
-                raise ConfigError(f"{mean} and {var} must be stored together")
-            if mean in arrays:
-                state.running_mean = _restored(arrays, mean, stat_shape)
-                state.running_var = _restored(arrays, var, stat_shape)
-            else:
-                state.running_mean = state.running_var = None
+    stat_shape = (1, 1, 1, params.W_pos.shape[1])
+    for prefix, state in _norm_states(params):
+        mean, var = prefix + "mean", prefix + "var"
+        if (mean in arrays) != (var in arrays):
+            raise ConfigError(f"{mean} and {var} must be stored together")
+        if mean in arrays:
+            state.running_mean = _restored(arrays, mean, stat_shape)
+            state.running_var = _restored(arrays, var, stat_shape)
+        else:
+            state.running_mean = state.running_var = None
 
 
-def _check_stored_shapes(archive, config: ModelConfig) -> None:
-    """Check the stored layer numbers and the shapes each config field sets."""
+def _check_stored_shapes(archive, config: ModelConfig) -> dict:
+    """Check the stored layer numbers and the shapes each config field sets;
+    returns the arrays read to do so, by checkpoint name."""
     layers = {name.split(".")[1] for name in archive.files if name.startswith("param/layers.")}
     if layers != {str(i) for i in range(config.L)}:
         raise ConfigError(f"its stored layers are not numbered 0..L-1 for L={config.L}")
     P, M, D, H, F = config.P, config.M, config.D, config.H, config.F
     shapes = {"W_p": (P, D), "W_pos": (M, D), "head_w": (M * D, F),
               "layers.0.w_query": (H, D, D // H), "layers.0.ffn_in": (D, config.D_ff)}
-    for name, shape in shapes.items():
-        _restored(archive, "param/" + name, shape)
+    return {"param/" + name: _restored(archive, "param/" + name, shape)
+            for name, shape in shapes.items()}
 
 
 def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
@@ -294,7 +298,7 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
 
 
 def load_checkpoint(path) -> tuple:
-    """Restore (params, config) from ``save_checkpoint`` output."""
+    """Restore (params, config) from ``save_checkpoint`` output, reading each member once."""
     try:
         archive = np.load(path, allow_pickle=False)
     except (OSError, zipfile.BadZipFile, NotImplementedError) as exc:
@@ -322,9 +326,9 @@ def load_checkpoint(path) -> tuple:
         if norm_over != "batch_and_tokens":
             raise ConfigError(f"checkpoint {path} uses norm_over = {norm_over}, which was dropped")
         try:
-            _check_stored_shapes(archive, config)
+            checked = _check_stored_shapes(archive, config)
             params = build(config)
-            load_state_arrays(params, archive)
+            load_state_arrays(params, collections.ChainMap(checked, archive))
         except ConfigError as exc:
             raise ConfigError(f"checkpoint {path}: {exc}") from None
     return params, config

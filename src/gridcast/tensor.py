@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import GridcastError, NumericError, ShapeError
 
 _GRAD_ENABLED = True
 
@@ -470,18 +470,23 @@ BN_MOMENTUM = 0.1  # weight of each training batch in the running statistics
 
 @dataclass
 class BatchNormState:
-    """Running statistics for one batch-norm instance (inference mode)."""
+    """Running statistics for one batch-norm instance (inference mode), None
+    until the first training batch and read through ``stats``."""
 
-    running_mean: np.ndarray | None = field(default=None)
-    running_var: np.ndarray | None = field(default=None)
+    running_mean: np.ndarray | None = None
+    running_var: np.ndarray | None = None
+
+    def stats(self, shape: tuple) -> tuple:
+        """(running_mean, running_var), zeros and ones of ``shape`` before any update."""
+        if self.running_mean is None:
+            return np.zeros(shape), np.ones(shape)
+        return self.running_mean, self.running_var
 
     def update(self, mean: np.ndarray, var: np.ndarray) -> None:
-        if self.running_mean is None:
-            self.running_mean = np.zeros_like(mean)
-            self.running_var = np.ones_like(var)
+        rm, rv = self.stats(mean.shape)
         m = BN_MOMENTUM
-        self.running_mean = (1.0 - m) * self.running_mean + m * mean
-        self.running_var = (1.0 - m) * self.running_var + m * var
+        self.running_mean = (1.0 - m) * rm + m * mean
+        self.running_var = (1.0 - m) * rv + m * var
 
 
 def batch_norm(
@@ -523,10 +528,7 @@ def batch_norm(
             return (gx,)
 
     else:
-        if state.running_mean is None:
-            rm, rv = np.zeros(kept), np.ones(kept)
-        else:
-            rm, rv = state.running_mean, state.running_var
+        rm, rv = state.stats(kept)
         inv_std = 1.0 / np.sqrt(rv + eps)
         x_hat_data = (x.data - rm) * inv_std
 
@@ -537,7 +539,7 @@ def batch_norm(
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout; identity when not training or rate == 0.
+    """Inverted dropout, its mask drawn from ``rng``; identity when not training or rate == 0.
 
     One graph node that keeps only its boolean keep-mask, an eighth of the
     bytes of a float64 mask, and rebuilds the scaled mask
@@ -548,6 +550,8 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
         return x
     if not 0.0 <= rate < 1.0:
         raise ShapeError(f"dropout rate {rate} outside [0, 1)")
+    if rng is None:
+        raise GridcastError(f"training-mode dropout at rate {rate} needs an rng")
     keep = rng.random(x.shape) >= rate
     scale = 1.0 / (1.0 - rate)
 

@@ -1,5 +1,6 @@
 import csv
 import ctypes
+import dataclasses
 import errno
 import io
 import json
@@ -594,6 +595,31 @@ def test_forecast_checkpoint_whose_config_contradicts_its_arrays_is_one_line_err
     assert captured.out == ""
 
 
+def test_forecast_checkpoint_whose_config_has_one_time_step_is_one_line_error(
+    workspace, tmp_path, capsys
+):
+    # arrays that fit T=1, P=1, S=1 (M=2): a T=2 model's, cut to two patches
+    cfg = ModelConfig(T=2, F=2, P=1, S=1, D=8, H=2, L=1, D_ff=16)
+    arrays = gridcast.model.state_arrays(build(cfg))
+    arrays["param/W_pos"] = arrays["param/W_pos"][:2]
+    arrays["param/head_w"] = arrays["param/head_w"][:16]
+    ckpt = tmp_path / "t1.ckpt"
+    config = {**dataclasses.asdict(cfg), "T": 1}
+    with open(ckpt, "wb") as fh:
+        np.savez(fh, __magic__=np.array(gridcast.model.CHECKPOINT_MAGIC),
+                 __config__=np.array(json.dumps(config)), **arrays)
+    window = tmp_path / "one_row.csv"
+    window.write_text("a,b\n1.0,2.0\n")
+    capsys.readouterr()
+    code = main(["forecast", "--checkpoint", str(ckpt), "--window", str(window)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: checkpoint {ckpt} has no valid model config: T must be >= 2, got 1\n"
+    )
+    assert captured.out == ""
+
+
 def test_forecast_drop_columns_takes_an_index_as_data_drop_columns_does(workspace, tmp_path):
     path, window = window_csv(workspace, tmp_path)
     dated = tmp_path / "dated.csv"
@@ -772,6 +798,15 @@ CHECKPOINT = "<workspace checkpoint>"  # stands for the workspace's model_F8.ckp
         (["train", "--sweep", "model.seed=1"], "unknown config key 'model.seed'"),
         (["train", "--sweep", "model.F=8,4,08"], "--sweep repeats a value"),
         (["train", "--set", "model.T=1.5"], "model.T expects int"),
+        (
+            [
+                "train", "--set", "model.T=1", "--set", "model.P=1", "--set", "model.S=1",
+                "--set", "model.F=2", "--set", "train.max_epochs=1",
+            ],
+            "T must be >= 2, got 1",  # RevIN's rule, checked before anything is written
+        ),
+        # config.txt holds one line per key, so a run could not be replayed
+        (["train", "--set", "data.name=a\nb"], "data.name must be one line"),
     ],
 )
 def test_malformed_setting_is_one_line_usage_error(argv, named, workspace, tmp_path, capsys):

@@ -255,3 +255,22 @@ def test_embed_grid_gradients():
         return (embed_grid(padded, ts[0], ts[1], 8, 4) ** 2).sum()
 
     assert grad_check(fn, [W_p, W_pos]) < 1e-3
+
+
+def test_embed_grid_reads_the_grid_from_the_position_encoding():
+    # M and D come from W_pos: a padded length, patch weights or batch rank
+    # that does not fit them is one ShapeError
+    P, S, M, D = 8, 4, 5, 6
+    padded = np.zeros((2, (M - 1) * S + P, 3))
+    W_p, W_pos = Tensor(np.zeros((P, D))), Tensor(np.zeros((M, D)))
+    assert embed_grid(padded, W_p, W_pos, P, S).shape == (2, M, 3, D)
+    bad = [
+        (padded[:, 1:], W_p, W_pos),  # one step short
+        (np.zeros((2, M * S + P, 3)), W_p, W_pos),  # tiles, but into M + 1 patches
+        (padded[0], W_p, W_pos),  # no batch axis
+        (padded, Tensor(np.zeros((P, D + 1))), W_pos),
+        (padded, Tensor(np.zeros((P + 1, D))), W_pos),
+    ]
+    for args in bad:
+        with pytest.raises(ShapeError, match=r"do not fit W_pos \(5, 6\) at patch 8 stride 4"):
+            embed_grid(*args, P, S)

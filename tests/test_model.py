@@ -1,4 +1,6 @@
+import collections
 import csv
+import dataclasses
 import json
 import os
 
@@ -7,7 +9,7 @@ import pytest
 
 import oracles
 from gridcast.attention import MODES, count_attention_cost, sequence_directions
-from gridcast.errors import ConfigError, NumericError, ShapeError
+from gridcast.errors import ConfigError, GridcastError, NumericError, ShapeError
 from gridcast.model import (
     ModelConfig,
     build,
@@ -53,6 +55,7 @@ def test_config_derived_patch_count():
         (dict(D_ff=32.0), "D_ff must be an integer"),
         (dict(L=True), "L must be an integer, got True"),
         (dict(seed="0"), "seed must be an integer"),
+        (dict(T=1, P=1, S=1), "T must be >= 2, got 1"),  # RevIN needs two steps
     ],
 )
 def test_config_validation_names_field(kw, field):
@@ -134,7 +137,7 @@ def test_forward_rejects_bad_shapes():
 
 def test_forward_matches_loop_oracle():
     cfg = small_config()
-    params = build(cfg, rng(3))
+    params = build(dataclasses.replace(cfg, seed=3))
     x = rng(4).normal(size=(2, 32, 2)) * 2 + 1
     y, _ = forward(x, params, cfg)
     ref = oracles.forward_oracle(x, params, cfg)
@@ -144,7 +147,7 @@ def test_forward_matches_loop_oracle():
 @pytest.mark.parametrize("mode", MODES)
 def test_forward_loop_oracle_all_modes(mode):
     cfg = small_config(mode=mode, L=3)
-    params = build(cfg, rng(5))
+    params = build(dataclasses.replace(cfg, seed=5))
     x = rng(6).normal(size=(1, 32, 2))
     y, _ = forward(x, params, cfg)
     np.testing.assert_allclose(y.data, oracles.forward_oracle(x, params, cfg), atol=1e-8)
@@ -152,7 +155,7 @@ def test_forward_loop_oracle_all_modes(mode):
 
 def test_forward_variate_permutation_equivariance():
     cfg = small_config()
-    params = build(cfg, rng(7))
+    params = build(dataclasses.replace(cfg, seed=7))
     x = rng(8).normal(size=(2, 32, 4))
     perm = np.array([2, 0, 3, 1])
     y, _ = forward(x, params, cfg)
@@ -162,14 +165,14 @@ def test_forward_variate_permutation_equivariance():
 
 def test_forward_accepts_variate_subset():
     cfg = small_config()
-    params = build(cfg, rng(9))
+    params = build(dataclasses.replace(cfg, seed=9))
     y, _ = forward(rng(10).normal(size=(2, 32, 3)), params, cfg)
     assert y.shape == (2, 5, 3)
 
 
 def test_forward_gradient_reaches_all_parameters():
     cfg = small_config()
-    params = build(cfg, rng(11))
+    params = build(dataclasses.replace(cfg, seed=11))
     x = rng(12).normal(size=(2, 32, 2))
     y, _ = forward(x, params, cfg, training=True)
     oracles.mean(y * y).backward()
@@ -186,7 +189,7 @@ def test_three_modes_coincide_for_single_variate_with_neutral_vertical():
     x = rng(13).normal(size=(2, 32, 1))
     for mode in ("channel_first", "time_first", "alternate"):
         cfg = small_config(mode=mode)
-        params = build(cfg, rng(14))
+        params = build(dataclasses.replace(cfg, seed=14))
         import copy
 
         tied = params.layers[0]
@@ -216,6 +219,16 @@ def test_three_modes_coincide_for_single_variate_with_neutral_vertical():
     np.testing.assert_allclose(outputs["time_first"], outputs["alternate"], atol=1e-6)
 
 
+def test_training_forward_with_dropout_needs_an_rng():
+    cfg = small_config(dropout=0.2)
+    params = build(cfg)
+    x = rng(30).normal(size=(2, 32, 2))
+    with pytest.raises(GridcastError, match="^training-mode dropout at rate 0.2 needs an rng$"):
+        forward(x, params, cfg, training=True)
+    forward(x, params, cfg, training=True, rng=rng(31))
+    forward(x, params, cfg)  # inference draws nothing
+
+
 def test_forward_fuzz_shapes():
     r = rng(15)
     for _ in range(5):
@@ -234,8 +247,9 @@ def test_forward_fuzz_shapes():
             D_ff=16,
             dropout=0.0,
             mode=str(r.choice(["channel_first", "time_first", "alternate"])),
+            seed=int(r.integers(2**31)),
         )
-        params = build(cfg, r)
+        params = build(cfg)
         B = int(r.integers(1, 4))
         y, _ = forward(r.normal(size=(B, cfg.T, N)), params, cfg)
         assert y.shape == (B, cfg.F, N)
@@ -247,7 +261,7 @@ def test_forward_fuzz_shapes():
 
 def test_capture_shapes_and_directions():
     cfg = small_config(L=4)
-    params = build(cfg, rng(16))
+    params = build(dataclasses.replace(cfg, seed=16))
     _, maps = forward(rng(17).normal(size=(2, 32, 3)), params, cfg, capture_attention=True)
     assert [m.direction for m in maps] == ["horizontal", "vertical", "horizontal", "vertical"]
     assert [m.layer_index for m in maps] == [0, 1, 2, 3]
@@ -264,7 +278,7 @@ def test_counted_score_entries_are_the_ones_forward_forms(mode, monkeypatch):
     # horizontal layer forms N maps of M x M scores, a vertical one M of N x N
     cfg = small_config(mode=mode, L=3)
     B, N = 2, 3
-    params = build(cfg, rng(24))
+    params = build(dataclasses.replace(cfg, seed=24))
     softmax_sizes = []
     softmax = Tensor.softmax
 
@@ -288,7 +302,7 @@ def test_capture_single_head_equals_raw_weights():
     from gridcast.embed import embed_grid, pad_tail, revin_normalize
 
     cfg = small_config(H=1, L=1, mode="time_first")
-    params = build(cfg, rng(18))
+    params = build(dataclasses.replace(cfg, seed=18))
     x = rng(19).normal(size=(1, 32, 1))
     _, maps = forward(x, params, cfg, capture_attention=True)
     xn, _ = revin_normalize(x)
@@ -300,7 +314,7 @@ def test_capture_single_head_equals_raw_weights():
 
 def test_capture_two_heads_average_oracle():
     cfg = small_config(H=2, L=1, mode="time_first")
-    params = build(cfg, rng(20))
+    params = build(dataclasses.replace(cfg, seed=20))
     from gridcast.attention import apply_horizontal
     from gridcast.embed import embed_grid, pad_tail, revin_normalize
 
@@ -316,7 +330,7 @@ def test_capture_two_heads_average_oracle():
 
 def test_export_attention_files(tmp_path):
     cfg = small_config(L=2)
-    params = build(cfg, rng(22))
+    params = build(dataclasses.replace(cfg, seed=22))
     _, maps = forward(rng(23).normal(size=(1, 32, 3)), params, cfg, capture_attention=True)
     paths = export_attention(maps, tmp_path / "maps")
     assert len(paths) == 2
@@ -346,7 +360,7 @@ def test_export_attention_requires_capture(tmp_path):
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     cfg = small_config(L=2)
-    params = build(cfg, rng(24))
+    params = build(dataclasses.replace(cfg, seed=24))
     # populate running statistics so state restore is exercised
     forward(rng(25).normal(size=(4, 32, 3)), params, cfg, training=True)
     path = tmp_path / "model.ckpt"
@@ -475,7 +489,7 @@ def test_checkpoint_with_the_norm_over_key_loads_and_forecasts_the_same_bits(tmp
     # "norm_over": "batch_and_tokens" in its config JSON, and every one written
     # while it had N stores the training width
     cfg = small_config()
-    params = build(cfg, rng(27))
+    params = build(dataclasses.replace(cfg, seed=27))
     forward(rng(28).normal(size=(4, 32, 3)), params, cfg, training=True)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params, cfg)
@@ -493,3 +507,25 @@ def test_checkpoint_normalized_per_token_is_rejected(tmp_path):
     rewrite_config(path, json.dumps({**config, "norm_over": "batch_only"}))
     with pytest.raises(ConfigError, match="norm_over = batch_only"):
         load_checkpoint(path)
+
+
+def test_load_checkpoint_reads_each_member_once(tmp_path, monkeypatch):
+    # the arrays checked against the config before build are the ones restored
+    cfg = small_config()
+    params = build(cfg)
+    forward(rng(32).normal(size=(4, 32, 3)), params, cfg, training=True)  # running statistics
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, cfg)
+    with np.load(path) as archive:
+        members = archive.files
+    reads = collections.Counter()
+    getitem = np.lib.npyio.NpzFile.__getitem__
+
+    def counted(self, key):
+        reads[key] += 1
+        return getitem(self, key)
+
+    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counted)
+    load_checkpoint(path)
+    assert "state/layers.1.norm2.running_var" in members
+    assert reads == {key: 1 for key in members}

@@ -238,7 +238,7 @@ def tiny_setup(seed=0, N=4, **cfg_kw):
     ds = synthetic_sines(700, n_variates=N, period=48, noise=0.05, seed=seed)
     tr, va, te = chronological_split(ds, SplitSpec(6, 2, 2))
     tr, va, te, _ = standardize(tr, va, te)
-    return cfg, build(cfg, rng(seed)), (tr, va, te)
+    return cfg, build(cfg), (tr, va, te)
 
 
 def test_evaluate_matches_manual_batching():
@@ -292,7 +292,7 @@ def test_single_step_decreases_batch_loss():
     batch = next(make_windows(tr, cfg.T, cfg.F, batch_size=32))
 
     def loss_after_step(lr):
-        p = build(cfg, rng(10))
+        p = build(cfg)
         named = p.named_parameters()
         pred, _ = forward(batch.inputs, p, cfg, training=True)
         before = mse(pred, batch.targets)
@@ -357,7 +357,7 @@ def kept_by_training_forward(N, B=4, **model):
     ``oracles.kept_arrays`` without the parameters. Its parameters'
     gradients are finite."""
     cfg = ModelConfig(T=96, F=24, **model)
-    params = build(cfg, rng(0))
+    params = build(cfg)
     x = rng(5).normal(size=(B, cfg.T + cfg.F, N))
     drop = rng(7)
 
@@ -484,9 +484,7 @@ def test_train_variate_sampling_counts():
     # alternate mode, L=2: one vertical layer; M patches, 2 of 4 variates,
     # 32 windows per batch
     assert report.vertical_entries_per_batch == cfg.M * 2 * 2 * 32
-    full = train(
-        build(cfg, rng(15)), cfg, datasets, TrainHyper(lr=1e-3, max_epochs=1, seed=15)
-    )
+    full = train(build(cfg), cfg, datasets, TrainHyper(lr=1e-3, max_epochs=1, seed=15))
     assert full.vertical_entries_per_batch == cfg.M * 4 * 4 * 32
     assert report.vertical_entries_per_batch * 4 == full.vertical_entries_per_batch
     assert report.variate_ratio == 0.5
