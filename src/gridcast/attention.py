@@ -67,9 +67,7 @@ class AttentionParams:
 
     @classmethod
     def init(cls, D: int, H: int, D_ff: int, rng: np.random.Generator) -> "AttentionParams":
-        """Xavier-uniform weights, identity norms, for width D and H heads."""
-        if D % H != 0:
-            raise ConfigError(f"head count {H} must divide model width {D}")
+        """Xavier-uniform weights, identity norms, for width D and H heads (H divides D)."""
         d_k = D // H
         return cls(
             w_query=xavier_uniform(rng, H, D, d_k),

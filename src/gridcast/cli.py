@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from typing import List, Optional
 
 from gridcast.config import (
@@ -68,15 +69,7 @@ RESULTS_HEADER = ["dataset", "T", "F", "mode", "ratio", "seed", "mse", "mae", "w
 
 
 def _resolve_config(args) -> RunConfig:
-    run = load_run_config(args.config) if args.config else RunConfig()
-    apply_overrides(run, args.set)
-    if args.data:
-        run.data_path = args.data
-    if args.out:
-        run.out_dir = args.out
-    if args.seed is not None:
-        run.seed = args.seed
-    return run
+    return apply_overrides(load_run_config(args.config) if args.config else RunConfig(), args.set)
 
 
 def _prepare_splits(run: RunConfig):
@@ -243,11 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
             action="append",
             default=[],
             metavar="KEY=VALUE",
-            help="override a config key (repeatable)",
+            help="override a config key (repeatable, applied in order)",
         )
-        p.add_argument("--data", help="dataset CSV path (overrides data.path)")
-        p.add_argument("--out", help="output directory (overrides out.dir)")
-        p.add_argument("--seed", type=int, help="seed (overrides seed)")
+        for flag, key in (("--data", "data.path"), ("--out", "out.dir"), ("--seed", "seed")):
+            # an alias: appends "key=value" to the --set list, in command-line order
+            p.add_argument(flag, dest="set", action="append", type=f"{key}={{}}".format,
+                           metavar=key.upper(), help=f"same as --set {key}=...")
 
     p_train = sub.add_parser("train", help="train a model and write artifacts")
     common(p_train)
@@ -306,7 +300,9 @@ def _keep_freed_memory() -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Run one subcommand and return its exit code (0, 1 or 2).
+    """Run one subcommand and return its exit code: 0, after one ``warning:``
+    line per warning it raised, or, after one ``error:`` line alone, 2 for bad
+    input (``_USAGE_ERRORS`` or argparse's usage) and 1 for any other failure.
 
     On glibc the process keeps freed memory mapped (see ``_keep_freed_memory``
     and the README): with glibc's default thresholds each training step
@@ -320,13 +316,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GridcastError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        with warnings.catch_warnings(record=True) as caught:
+            code = args.func(args)
+    except (*_USAGE_ERRORS, GridcastError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 2 if isinstance(exc, _USAGE_ERRORS) else 1
+    for caught_warning in caught:
+        print(f"warning: {caught_warning.message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from gridcast.data import first_non_utf8
+from gridcast.data import open_text
 from gridcast.errors import ConfigError
 from gridcast.model import ModelConfig, write_atomic
 from gridcast.train import TrainHyper
@@ -110,18 +110,16 @@ def set_key(config: RunConfig, key: str, raw: str) -> None:
 
 
 def parse_run_config(text: str) -> RunConfig:
+    """The defaults overridden by each line of ``text`` that is not blank or
+    a ``#`` comment, through ``apply_overrides``; errors name the line."""
     config = RunConfig()
     for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"config line {line_no} is not 'key = value': {line!r}")
-        key, _, value = stripped.partition("=")
-        try:
-            set_key(config, key, value)
-        except ConfigError as exc:
-            raise ConfigError(f"config line {line_no}: {exc}") from None
+        line = line.strip()
+        if line and not line.startswith("#"):
+            try:
+                apply_overrides(config, [line])
+            except ConfigError as exc:
+                raise ConfigError(f"config line {line_no}: {exc}") from None
     return config
 
 
@@ -143,14 +141,9 @@ def serialize_run_config(config: RunConfig) -> str:
 
 
 def load_run_config(path) -> RunConfig:
-    try:
-        with open(path, encoding="utf-8-sig") as fh:  # drops a byte-order mark
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except UnicodeDecodeError:
-        raise ConfigError(f"config {path} is not UTF-8 text: {first_non_utf8(path)}") from None
-    return parse_run_config(text)
+    """``parse_run_config`` of the file at ``path``, read through ``open_text``."""
+    with open_text(path, ConfigError, "config ") as fh:
+        return parse_run_config(fh.read())
 
 
 def save_run_config(config: RunConfig, path) -> None:
@@ -159,10 +152,11 @@ def save_run_config(config: RunConfig, path) -> None:
 
 
 def apply_overrides(config: RunConfig, overrides) -> RunConfig:
-    """Apply ``key=value`` strings (e.g. from --set flags) in order."""
+    """Apply ``key=value`` strings (--set and its aliases, or config-file
+    lines) in order through ``set_key``: the one place they are split."""
     for item in overrides or []:
         if "=" not in item:
-            raise ConfigError(f"override must look like key=value, got {item!r}")
+            raise ConfigError(f"expected 'key = value', got {item!r}")
         key, _, value = item.partition("=")
         set_key(config, key, value)
     return config

@@ -7,6 +7,7 @@ the training split only and are applied unchanged to validation and test.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import warnings
@@ -112,7 +113,7 @@ def _is_number(cell: str) -> bool:
         float(cell.strip())
     except ValueError:
         return False
-    return cell.strip() != ""
+    return True
 
 
 def _resolve_columns(keys: Sequence[ColumnKey], names: list) -> list:
@@ -129,16 +130,26 @@ def _resolve_columns(keys: Sequence[ColumnKey], names: list) -> list:
     return out
 
 
-def first_non_utf8(path) -> str:
-    """The first byte of the file at ``path`` that does not decode as UTF-8,
-    and its offset; the text decoder reports it only within its read chunk."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+@contextlib.contextmanager
+def open_text(path, error, what: str = ""):
+    """Yield ``path`` open as UTF-8 text, a byte-order mark skipped and line
+    ends untranslated (as ``csv`` needs). A file that cannot be read or is
+    not UTF-8 raises one line of class ``error`` naming ``what``, ``path`` and
+    any first bad byte and its offset."""
     try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return f"byte {raw[exc.start]:#04x} at offset {exc.start}"
-    return "the file changed while it was read"
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            yield fh
+    except OSError as exc:
+        raise error(f"cannot read {what}{path}: {exc}") from exc
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:  # the decoder knows the offset only within its chunk
+            raw = fh.read()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            bad = f"byte {raw[exc.start]:#04x} at offset {exc.start}"
+            raise error(f"{what}{path} is not UTF-8 text: {bad}") from None
+        raise error(f"{what}{path} changed while it was read") from None
 
 
 def load_csv(
@@ -151,18 +162,14 @@ def load_csv(
 
     A header row is auto-detected (any non-numeric first row). Columns can be
     selected by ``value_columns`` or removed by ``drop_columns`` (names or
-    indices), which is how a leading date column is discarded.
+    indices), which is how a leading date column is discarded. The file is
+    read row by row through ``open_text``; every error is a one-line ``DataError``.
     """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError:
-        raise DataError(f"{path} is not UTF-8 text: {first_non_utf8(path)}") from None
+        with open_text(path, DataError) as fh:
+            rows = [r for r in csv.reader(fh) if r]  # tolerate trailing blank lines
     except csv.Error as exc:
         raise DataError(f"cannot parse {path}: {exc}") from None
-    rows = [r for r in rows if r]  # tolerate trailing blank lines
     if not rows:
         raise DataError(f"{path} is empty")
 

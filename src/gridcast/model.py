@@ -34,9 +34,10 @@ from gridcast.errors import ConfigError, NumericError, ShapeError
 from gridcast.tensor import Tensor
 
 CHECKPOINT_MAGIC = "gridcast-checkpoint-1"
-# a member that is an object array, a bad zip entry, a corrupt stream or a huge header
-_MEMBER_ERRORS = (ValueError, zipfile.BadZipFile, NotImplementedError, zlib.error,
-                  lzma.LZMAError, MemoryError, OSError)
+# a member that is an object array, a bad zip entry (encrypted, of an unknown zip
+# version, or past the file's end), a corrupt stream or a huge header
+_MEMBER_ERRORS = (ValueError, zipfile.BadZipFile, RuntimeError, zlib.error,
+                  lzma.LZMAError, MemoryError, OSError, EOFError)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -242,7 +243,7 @@ def _restored(arrays, key: str, shape: tuple) -> np.ndarray:
     try:
         loaded = arrays[key]
     except (KeyError, *_MEMBER_ERRORS) as exc:
-        raise ConfigError(f"{key} cannot be read: {exc}") from None
+        raise ConfigError(f"{key} cannot be read: {str(exc) or type(exc).__name__}") from None
     if loaded.dtype.kind not in "fiu":
         raise ConfigError(f"{key} has dtype {loaded.dtype}, expected numbers")
     if loaded.shape != shape:

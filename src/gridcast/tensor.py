@@ -466,6 +466,7 @@ def checkpoint(f, *inputs: Tensor) -> Tensor:
 
 
 BN_MOMENTUM = 0.1  # weight of each training batch in the running statistics
+BN_EPS = 1e-5  # added to the variance before its inverse square root
 
 
 @dataclass
@@ -495,7 +496,6 @@ def batch_norm(
     beta: Tensor,
     state: BatchNormState,
     training: bool,
-    eps: float = 1e-5,
 ) -> Tensor:
     """Normalize each feature (the last axis) over all the other axes.
 
@@ -517,7 +517,7 @@ def batch_norm(
         mu = _sum_over(axes, x.data).reshape(kept) * inv_n
         centered = x.data - mu
         var = _sum_over(axes, centered, centered).reshape(kept) * inv_n
-        inv_std = (var + eps) ** -0.5
+        inv_std = (var + BN_EPS) ** -0.5
         x_hat_data = centered * inv_std
         state.update(mu, var)
 
@@ -529,7 +529,7 @@ def batch_norm(
 
     else:
         rm, rv = state.stats(kept)
-        inv_std = 1.0 / np.sqrt(rv + eps)
+        inv_std = 1.0 / np.sqrt(rv + BN_EPS)
         x_hat_data = (x.data - rm) * inv_std
 
         def vjp(g):

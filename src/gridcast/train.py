@@ -168,8 +168,8 @@ class TrainHyper:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.lr >= 0:  # a negative rate climbs the loss
-            raise ConfigError(f"train.lr must be >= 0, got {self.lr}")
+        if not 0 <= self.lr < np.inf:  # a negative rate climbs the loss, inf diverges
+            raise ConfigError(f"train.lr must be finite and >= 0, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"train.batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:  # zero would report an untrained model

@@ -174,11 +174,6 @@ def test_multi_head_gradients():
     assert grad_check(fn, weights) < 1e-3
 
 
-def test_head_count_must_divide_width():
-    with pytest.raises(ConfigError):
-        AttentionParams.init(D=10, H=3, D_ff=8, rng=rng(0))
-
-
 # -- encoder_layer -----------------------------------------------------------
 
 

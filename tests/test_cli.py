@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import types
+import warnings
 import zipfile
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 import oracles
 import gridcast
 from gridcast.cli import RESULTS_HEADER, main
+import gridcast.cli
 import gridcast.model
 from gridcast.config import RunConfig, load_run_config, save_run_config
 from gridcast.data import VariateStats, save_stats, synthetic_sines
@@ -115,6 +117,67 @@ def test_train_missing_dataset(tmp_path, capsys):
     code = main(["train", "--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "absent.csv" in capsys.readouterr().err
+
+
+def test_shortcuts_and_set_resolve_in_command_line_order(workspace, tmp_path):
+    # --out is --set out.dir=..., so the later of the two names the directory
+    first, second = tmp_path / "first", tmp_path / "second"
+    argv = ["train", "--config", str(workspace["cfg"]), "--set", "train.max_epochs=1"]
+    assert main(argv + ["--out", str(first), "--set", f"out.dir={second}"]) == 0
+    assert (second / "results.csv").exists() and not first.exists()
+    assert load_run_config(second / "config.txt").out_dir == str(second)
+
+
+def test_an_output_directory_of_two_lines_is_one_line_usage_error(workspace, tmp_path, capsys):
+    out = f"{tmp_path / 'a'}\nb"
+    capsys.readouterr()
+    assert main(["train", "--config", str(workspace["cfg"]), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out.dir must be one line, got ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []  # config.txt could not be replayed, so none is written
+
+
+@pytest.mark.parametrize(
+    "message,printed",
+    [
+        ("Unable to allocate 29.1 TiB for an array", "Unable to allocate 29.1 TiB for an array"),
+        ("", "MemoryError"),
+    ],
+)
+def test_a_model_too_large_to_allocate_is_one_line_runtime_error(
+    message, printed, workspace, monkeypatch, tmp_path, capsys
+):
+    # what numpy raises for the weights of a huge model.D, without allocating it
+    def build(cfg):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(gridcast.cli, "build", build)
+    capsys.readouterr()
+    code = main(["train", "--config", str(workspace["cfg"]), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {printed}\n"
+
+
+def test_warnings_follow_a_success_one_line_each_and_never_an_error(
+    workspace, monkeypatch, tmp_path, capsys
+):
+    # a constant fifth variate, whose std standardize clamps with a warning
+    ds = synthetic_sines(700, n_variates=4, period=48, seed=0)
+    data = tmp_path / "flat.csv"
+    write_dataset_csv(data, type(ds)(ds.name, np.column_stack([ds.values, np.ones(700)])))
+
+    def show(message, category, filename, lineno, file=None, line=None):  # as a plain process
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    monkeypatch.setattr(warnings, "showwarning", show)
+    argv = ["train", "--config", str(workspace["cfg"]), "--data", str(data)]
+    argv += ["--set", "train.max_epochs=1"]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    warned = "warning: variates [4] are constant in the training split; std clamped to 1\n"
+    assert capsys.readouterr().err == warned
+    assert main(argv + ["--out", str(tmp_path / "b"), "--set", "train.lr=-1"]) == 2
+    assert capsys.readouterr().err == "error: train.lr must be finite and >= 0, got -1.0\n"
 
 
 def test_train_rerun_is_identical_apart_from_timing(workspace, tmp_path):
@@ -525,7 +588,9 @@ def _forecast(ckpt, workspace, tmp_path, capsys):
     return code, capsys.readouterr()
 
 
-@pytest.mark.parametrize("case", ["deflate", "lzma", "bzip2", "huge_header"])
+@pytest.mark.parametrize(
+    "case", ["deflate", "lzma", "bzip2", "huge_header", "past_the_end", "encrypted"]
+)
 def test_forecast_checkpoint_with_an_unreadable_member_is_one_line_error(
     case, workspace, tmp_path, capsys
 ):
@@ -536,6 +601,17 @@ def test_forecast_checkpoint_with_an_unreadable_member_is_one_line_error(
         _damage_member(_rezipped(src, ckpt, zipfile.ZIP_LZMA), member, 4, lambda b: b ^ 0xFF)
     elif case == "bzip2":  # the first byte of the block magic
         _damage_member(_rezipped(src, ckpt, zipfile.ZIP_BZIP2), member, 4, lambda b: b ^ 0xFF)
+    elif case == "past_the_end":  # zipfile meets the file's end inside the member: EOFError
+        with zipfile.ZipFile(src) as zf:
+            offset = zf.getinfo(member).header_offset
+        data = bytearray(src.read_bytes())
+        data[offset + 28 : offset + 30] = (0xFFFF).to_bytes(2, "little")  # extra field length
+        ckpt.write_bytes(bytes(data))
+    elif case == "encrypted":  # the flag bit in its central-directory header: RuntimeError
+        data = bytearray(src.read_bytes())
+        entry = data.index(member.encode(), data.index(b"PK\x01\x02")) - 46
+        data[entry + 8] |= 1
+        ckpt.write_bytes(bytes(data))
     else:
         with zipfile.ZipFile(src) as zin, zipfile.ZipFile(ckpt, "w") as zout:
             for info in zin.infolist():
@@ -547,6 +623,8 @@ def test_forecast_checkpoint_with_an_unreadable_member_is_one_line_error(
     assert code == 2
     assert captured.err.startswith(f"error: checkpoint {ckpt}: param/W_p cannot be read: ")
     assert captured.err.count("\n") == 1 and captured.out == ""
+    if case == "past_the_end":
+        assert captured.err.endswith("cannot be read: EOFError\n")
 
 
 @pytest.mark.parametrize("compression", [zipfile.ZIP_DEFLATED, zipfile.ZIP_BZIP2, zipfile.ZIP_LZMA])
@@ -807,6 +885,10 @@ CHECKPOINT = "<workspace checkpoint>"  # stands for the workspace's model_F8.ckp
         ),
         # config.txt holds one line per key, so a run could not be replayed
         (["train", "--set", "data.name=a\nb"], "data.name must be one line"),
+        # an infinite rate diverged at the first step, after writing config.txt
+        (["train", "--set", "train.lr=inf"], "train.lr must be finite"),
+        # --seed is --set seed=..., typed by set_key, not argparse's three-line usage
+        (["train", "--seed", "abc"], "seed expects int, got 'abc'"),
     ],
 )
 def test_malformed_setting_is_one_line_usage_error(argv, named, workspace, tmp_path, capsys):

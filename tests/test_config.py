@@ -90,9 +90,11 @@ def test_bad_value_type_rejected():
 
 
 def test_malformed_line_rejected():
-    with pytest.raises(ConfigError) as err:
-        parse_run_config("model.T\n")
-    assert "line 1" in str(err.value)
+    # a config line and an override are split in one place, with one message
+    with pytest.raises(ConfigError, match=r"^config line 2: expected 'key = value', got 'model.T'$"):
+        parse_run_config("# comment\n  model.T  \n")
+    with pytest.raises(ConfigError, match=r"^expected 'key = value', got 'model.T'$"):
+        apply_overrides(RunConfig(), ["model.T"])
 
 
 def test_bool_parsing():
