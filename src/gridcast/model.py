@@ -299,9 +299,21 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig) -> None:
 
 
 def load_checkpoint(path) -> tuple:
-    """Restore (params, config) from ``save_checkpoint`` output, reading each member once."""
+    """Restore (params, config) from ``save_checkpoint`` output, reading each
+    member once. The file is opened here and closed on every path: numpy's
+    ``np.load(path)`` leaves the file it opened to the garbage collector
+    when the zip directory cannot be read."""
     try:
-        archive = np.load(path, allow_pickle=False)
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
+    with fh:
+        return _load_checkpoint(fh, path)
+
+
+def _load_checkpoint(fh, path) -> tuple:
+    try:
+        archive = np.load(fh, allow_pickle=False)
     except (OSError, zipfile.BadZipFile, NotImplementedError) as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
     except (ValueError, EOFError):  # text, which numpy takes for a pickle, or an empty file

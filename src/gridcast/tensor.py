@@ -23,8 +23,7 @@ A vjp may also recompute what it needs rather than keep it: it can rebuild a
 small graph from the arrays it kept and pull its gradient back with
 ``backward(grad)``, which seeds a non-scalar root; ``backward`` runs every vjp
 with graph building on, even inside ``no_grad``. ``attention.attention_heads``
-keeps its layer input this way, and ``checkpoint`` makes any pure function one
-such node.
+and ``attention.feed_forward`` keep their layer input this way.
 """
 
 from __future__ import annotations
@@ -243,6 +242,17 @@ class Tensor:
     # -- matrix product ------------------------------------------------------
 
     def __matmul__(self, other):
+        """``np.matmul`` of the two arrays, batch axes broadcast.
+
+        A 2-d right operand (a weight) gets its gradient from one GEMM over
+        every row of the left operand, ``a.reshape(-1, K).T @ g.reshape(-1,
+        N)``: no per-batch ``[batch..., K, N]`` products and no sum over them.
+        The left operand's gradient is ``g @ b^T`` per batch, as the forward
+        runs. numpy runs a product whose left operand has one row as gemv,
+        whose sums differ from gemm's, so code that cuts such a product into
+        row tiles gives each tile at least two rows; then every tile repeats
+        the whole product's bits.
+        """
         other = Tensor._coerce(other)
         a, b = self.data, other.data
         if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
@@ -261,7 +271,10 @@ class Tensor:
             ga = gb = None
             if b_kept is not None:
                 ga = _unbroadcast(np.matmul(g, np.swapaxes(b_kept, -1, -2)), a_shape)
-            if a_kept is not None:
+            if a_kept is not None and len(b_shape) == 2:
+                K, N = b_shape
+                gb = np.matmul(a_kept.reshape(-1, K).T, g.reshape(-1, N))
+            elif a_kept is not None:
                 gb = _unbroadcast(np.matmul(np.swapaxes(a_kept, -1, -2), g), b_shape)
             return ga, gb
 
@@ -387,7 +400,7 @@ class Tensor:
         bit. Gradients flow through a per-call accumulator, so calling
         backward twice on the same graph adds exactly twice the gradient.
         The vjps run with graph building on, so that one may build and walk a
-        graph of its own, as ``attention_heads`` and ``checkpoint`` do.
+        graph of its own, as ``attention_heads`` and ``feed_forward`` do.
         """
         global _GRAD_ENABLED
         if grad is None:
@@ -435,31 +448,6 @@ class Tensor:
                         flowing[id(parent)] = pg if held is None else held + pg
         finally:
             _GRAD_ENABLED = enabled
-
-
-def checkpoint(f, *inputs: Tensor) -> Tensor:
-    """``f(*inputs)`` as one graph node that keeps only the inputs' arrays:
-    the activation checkpointing of Chen et al. (arXiv 1604.06174).
-
-    Forward runs ``f`` under ``no_grad``, so its ops build no nodes and keep
-    nothing. The vjp runs ``f`` again, with a graph, on fresh leaves holding
-    the same arrays, each needing a gradient only where its input does, and
-    pulls the output gradient back through that graph with ``backward(grad)``;
-    an input that needs no gradient gets None and no product. The recompute runs
-    the same ops on the same arrays, so every value and gradient repeats bit
-    for bit. ``f`` must therefore draw no random numbers and update no state:
-    dropout and ``batch_norm`` stay outside it.
-    """
-    with no_grad():
-        out = f(*inputs)
-    arrays = [(t.data, t.requires_grad) for t in inputs]
-
-    def vjp(g):
-        leaves = [Tensor(a, requires_grad=need) for a, need in arrays]
-        f(*leaves).backward(g)
-        return tuple(leaf.grad for leaf in leaves)
-
-    return Tensor._make(out.data, inputs, vjp)
 
 
 # -- layers built from the primitives ---------------------------------------

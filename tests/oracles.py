@@ -17,15 +17,15 @@ import numpy as np
 
 import gridcast.attention as attention
 from gridcast.attention import (
-    attend_blocks,
-    attend_blocks_vjp,
+    attend,
+    attend_vjp,
     attention_heads,
     feed_forward,
     sequence_directions,
 )
 from gridcast.data import TimeSeriesDataset
 from gridcast.errors import DataError, ShapeError
-from gridcast.tensor import BatchNormState, Tensor, batch_norm, checkpoint, dropout
+from gridcast.tensor import BatchNormState, Tensor, batch_norm, dropout, no_grad
 from gridcast.train import mse
 
 
@@ -181,10 +181,27 @@ def project_heads(x, w):
 def attention_core(Qs, Kt, V, capture=None):
     """softmax(Qs @ Kt) @ V for [G, H, L, d_k] queries Qs (already scaled),
     [G, H, d_k, L] keys Kt and [G, H, L, d_v] values V, as one graph node that
-    keeps Qs, Kt and V and runs the package's block loops on them."""
+    keeps Qs, Kt and V and runs the package's ``attend`` and ``attend_vjp`` on
+    each block of ``score_blocks``. The output is the [G, H, L, d_v] view of
+    a [G, L, H, d_v] buffer, as ``attention_heads`` lays out its heads."""
     q, kt, v = Qs.data, Kt.data, V.data
-    out = attend_blocks(q, kt, v, capture)
-    return Tensor._make(out, (Qs, Kt, V), lambda g: attend_blocks_vjp(q, kt, v, g))
+    G, H, L, d_v = v.shape
+    out = np.empty((G, L, H, d_v)).transpose(0, 2, 1, 3)
+    if capture is not None:
+        capture.append(np.empty((G, H, L, L)))
+    for b in attention.score_blocks(G, H, L):
+        out[b], w = attend(q[b], kt[b], v[b])
+        if capture is not None:
+            capture[-1][b] = w
+
+    def vjp(g):
+        grads = [np.empty(a.shape) for a in (q, kt, v)]
+        for b in attention.score_blocks(G, H, L):
+            for grad, block in zip(grads, attend_vjp(q[b], kt[b], v[b], g[b])):
+                grad[b] = block
+        return tuple(grads)
+
+    return Tensor._make(out, (Qs, Kt, V), vjp)
 
 
 def attention_heads_unfused(x, w_query, w_key, w_value, capture=None):
@@ -196,6 +213,36 @@ def attention_heads_unfused(x, w_query, w_key, w_value, capture=None):
     heads = attention_core(Q * scale, K.permute(0, 1, 3, 2), V, capture)
     H, d_v = V.shape[1], V.shape[-1]
     return heads.permute(0, 2, 1, 3).reshape(*x.shape[:-1], H * d_v)
+
+
+def feed_forward_graph(y, w_in, w_out):
+    """The feed-forward block gelu(y W1) W2 as the plain graph of three
+    nodes; the reference for the single-node ``feed_forward``."""
+    return (y @ w_in).gelu() @ w_out
+
+
+def checkpoint(f, *inputs: Tensor) -> Tensor:
+    """``f(*inputs)`` as one graph node that keeps only the inputs' arrays:
+    the activation checkpointing of Chen et al. (arXiv 1604.06174), the
+    untiled form of ``feed_forward``'s recompute.
+
+    Forward runs ``f`` under ``no_grad``, so its ops build no nodes and keep
+    nothing. The vjp runs ``f`` again, with a graph, on fresh leaves holding
+    the same arrays, each needing a gradient only where its input does, and
+    pulls the output gradient back through that graph with ``backward(grad)``;
+    an input that needs no gradient gets None and no product. ``f`` must draw
+    no random numbers and update no state.
+    """
+    with no_grad():
+        out = f(*inputs)
+    arrays = [(t.data, t.requires_grad) for t in inputs]
+
+    def vjp(g):
+        leaves = [Tensor(a, requires_grad=need) for a, need in arrays]
+        f(*leaves).backward(g)
+        return tuple(leaf.grad for leaf in leaves)
+
+    return Tensor._make(out.data, inputs, vjp)
 
 
 def scaled_dot_attention(Q, K, V):
@@ -253,7 +300,9 @@ HEADS_SHAPES = [(3, 4, 3), (2, 3, 2), (2, 3, 2), (2, 3, 2), (3, 4, 4)]
 
 def one_group_per_block(op, *args):
     """``op(*args)`` with a score budget that holds one attention group per
-    block; the op's vjp keeps the blocks its forward ran."""
+    block and one FFN group per tile. ``feed_forward``'s vjp keeps the tiles
+    its forward cut; ``attention_heads``' cuts its blocks again at the budget
+    in force when backward runs."""
     saved = attention.SCORE_BLOCK_BYTES
     attention.SCORE_BLOCK_BYTES = 1
     try:
@@ -311,8 +360,18 @@ OP_CASES = [
         HEADS_SHAPES,
     ),
     (
-        "checkpoint",  # the encoder's FFN on y [2, 3, 4], D_ff = 5
-        lambda ts: (checkpoint(feed_forward, *ts[:3]) * ts[3]).sum(),
+        "checkpoint",  # the plain FFN graph on y [2, 3, 4], D_ff = 5
+        lambda ts: (checkpoint(feed_forward_graph, *ts[:3]) * ts[3]).sum(),
+        [(2, 3, 4), (4, 5), (5, 4), (2, 3, 4)],
+    ),
+    (
+        "feed_forward",  # the encoder's FFN node on the same shapes, one tile
+        lambda ts: (feed_forward(*ts[:3]) * ts[3]).sum(),
+        [(2, 3, 4), (4, 5), (5, 4), (2, 3, 4)],
+    ),
+    (
+        "feed_forward_tiled",  # the same, one group per tile
+        lambda ts: (one_group_per_block(feed_forward, *ts[:3]) * ts[3]).sum(),
         [(2, 3, 4), (4, 5), (5, 4), (2, 3, 4)],
     ),
 ]
@@ -357,7 +416,7 @@ def _owner(a: np.ndarray) -> np.ndarray:
 def kept_arrays(root: Tensor) -> list:
     """(op, array) for each array the graph behind ``root`` keeps for its
     backward, found by walking every node's vjp closure. ``op`` names the
-    function that made the node (``Tensor.__matmul__``, ``checkpoint``, ...).
+    function that made the node (``Tensor.__matmul__``, ``feed_forward``, ...).
     A buffer that several nodes hold, or several views of, is listed once."""
     found, buffers, nodes, functions = [], set(), set(), set()
     stack = [root._node]

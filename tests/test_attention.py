@@ -2,10 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gridcast.attention as attention
+import oracles
 from gridcast.attention import (
     AttentionCost,
     AttentionMap,
@@ -15,6 +16,7 @@ from gridcast.attention import (
     attention_heads,
     count_attention_cost,
     encoder_layer,
+    feed_forward,
     grid_transpose,
     multi_head,
     sequence_directions,
@@ -284,6 +286,82 @@ def test_blocked_encoder_layer_is_bit_identical(monkeypatch):
         assert (got == want).all()
 
 
+@pytest.mark.parametrize("L", [5, 1])
+def test_feed_forward_node_is_the_plain_graph_at_any_tile_size(L, monkeypatch):
+    # the FFN node against (y @ w_in).gelu() @ w_out: output and the
+    # gradients of y (which also feeds a residual sum) and both weights, in
+    # one tile, in tiles of 3, 3 and 1 groups, and at the smallest budget;
+    # at L = 1 no tile is one group, one row, so the lone last group joins
+    # the tile before it. Backward builds one gelu node per tile
+    G, D, D_ff = 7, 4, 6
+    r = rng(40)
+    data, w_in, w_out = r.normal(size=(G, L, D)), r.normal(size=(D, D_ff)), r.normal(size=(D_ff, D))
+    g = r.normal(size=(G, L, D))
+    results, gelus = [], []
+    real_gelu = Tensor.gelu
+
+    def recorded_gelu(t):
+        if t.requires_grad:
+            gelus.append(t.shape[0])
+        return real_gelu(t)
+
+    for ffn, budget, tiles in [
+        (oracles.feed_forward_graph, attention.SCORE_BLOCK_BYTES, [G]),
+        (feed_forward, attention.SCORE_BLOCK_BYTES, [G]),
+        (feed_forward, 3 * L * D_ff * 8, [3, 3, 1] if L > 1 else [3, 4]),
+        (feed_forward, 1, [1] * G if L > 1 else [2, 2, 3]),
+    ]:
+        monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", budget)
+        ts = [Tensor(a, requires_grad=True) for a in (data, w_in, w_out)]
+        out = ts[0] + ffn(*ts)
+        gelus.clear()
+        monkeypatch.setattr(Tensor, "gelu", recorded_gelu)
+        out.backward(g)
+        monkeypatch.setattr(Tensor, "gelu", real_gelu)
+        assert gelus == (tiles if ffn is feed_forward else [])
+        results.append([out.data] + [t.grad for t in ts])
+    for result in results[1:]:
+        for got, want in zip(result, results[0]):
+            assert (got == want).all()
+
+
+def test_feed_forward_keeps_its_inputs_and_forms_no_product_for_one_that_needs_none(monkeypatch):
+    # the node keeps y's own array and the two weights, no [.., D_ff]
+    # array; backward runs per tile the pre-activation, the output product
+    # and its input gradient, y's gradient only where y needs one, then one
+    # GEMM per weight
+    r = rng(41)
+    calls = []
+    matmul = np.matmul
+
+    def counting_matmul(*args, **kwargs):
+        calls.append(1)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(attention, "SCORE_BLOCK_BYTES", 2 * 3 * 5 * 8)  # tiles of 2 and 1 groups
+    for need_y in (True, False):
+        y = Tensor(r.normal(size=(3, 3, 4)), requires_grad=need_y)
+        ws = [Tensor(r.normal(size=s), requires_grad=True) for s in ((4, 5), (5, 4))]
+        out = feed_forward(y, *ws)
+        kept = [a for _, a in oracles.kept_arrays(out)]
+        assert len(kept) == 3 and all(any(a is t.data or a.base is t.data for a in kept) for t in (y, *ws))
+        monkeypatch.setattr(np, "matmul", counting_matmul)
+        calls.clear()
+        out.backward(np.ones(out.shape))
+        monkeypatch.setattr(np, "matmul", matmul)
+        assert len(calls) == 2 * (4 if need_y else 3) + 2
+        assert (y.grad is None) != need_y
+
+
+def test_feed_forward_under_no_grad_builds_no_node():
+    r = rng(42)
+    ts = [Tensor(r.normal(size=s), requires_grad=True) for s in ((2, 3, 4), (4, 5), (5, 4))]
+    with no_grad():
+        out = feed_forward(*ts)
+    assert out._node is None and not out.requires_grad
+    assert (out.data == oracles.feed_forward_graph(*ts).data).all()
+
+
 def graph_nodes(t):
     """Number of graph nodes reachable from ``t``, leaves included."""
     seen, stack = set(), [t._node]
@@ -436,21 +514,34 @@ def test_blocked_forward_captures_one_map_per_layer(monkeypatch):
     width=st.integers(1, 3),
     seed=st.integers(0, 2**16),
 )
+@example(B=3, P=4, extra=4, S_frac=8, N=1, H=2, width=2, seed=0)  # univariate: L = 1 rows
 def test_forward_finite_and_blocking_invariant(B, P, extra, S_frac, N, H, width, seed):
+    # the output and every parameter's gradient, unblocked against one group
+    # per block and tile (two at N = 1, where one would be a one-row GEMM)
     T, S, D = max(2, P + extra), max(1, P * S_frac // 8), H * width  # revin needs T >= 2
     cfg = ModelConfig(T=T, F=4, P=P, S=S, D=D, H=H, L=2, D_ff=2 * D, dropout=0.0, seed=seed)
     params = build(cfg)
     x = rng(seed).normal(size=(B, T, N))
-    pred, _ = forward(x, params, cfg)
+
+    def step():
+        for _, t in params.named_parameters():
+            t.zero_grad()
+        pred, _ = forward(x, params, cfg)
+        (pred * pred).sum().backward()
+        return pred.data, [t.grad for _, t in params.named_parameters()]
+
+    pred, grads = step()
     assert pred.shape == (B, 4, N)
     assert np.isfinite(pred.data).all()
     saved = attention.SCORE_BLOCK_BYTES
     attention.SCORE_BLOCK_BYTES = 1  # one group per block
     try:
-        blocked, _ = forward(x, params, cfg)
+        blocked, blocked_grads = step()
     finally:
         attention.SCORE_BLOCK_BYTES = saved
-    assert (blocked.data == pred.data).all()
+    assert (blocked == pred).all()
+    for got, want in zip(blocked_grads, grads):
+        assert (got == want).all()
 
 
 # -- grid application --------------------------------------------------------

@@ -158,6 +158,23 @@ def test_a_model_too_large_to_allocate_is_one_line_runtime_error(
     assert capsys.readouterr().err == f"error: {printed}\n"
 
 
+def test_a_train_that_fails_after_its_checks_leaves_its_config_and_stats(
+    workspace, monkeypatch, tmp_path, capsys
+):
+    # the README's list: a run that passed every check writes config.txt
+    # and train_stats.csv before it builds the first model, and nothing else
+    # when that fails
+    def build(cfg):
+        raise MemoryError("Unable to allocate 29.1 TiB for an array")
+
+    monkeypatch.setattr(gridcast.cli, "build", build)
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(workspace["cfg"]), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 29.1 TiB for an array\n"
+    assert sorted(os.listdir(out)) == ["config.txt", "train_stats.csv"]
+
+
 def test_warnings_follow_a_success_one_line_each_and_never_an_error(
     workspace, monkeypatch, tmp_path, capsys
 ):
@@ -1024,9 +1041,12 @@ def test_failed_write_leaves_old_artifact_and_no_temp_file(
     assert write() == 0
     before = _files(out)
     real_open = open
-    monkeypatch.setattr(
-        gridcast.model, "open", lambda *a, **k: _FailsHalfway(real_open(*a, **k)), raising=False
-    )
+
+    def full_disk_open(file, mode="r", *args, **kwargs):  # reads, such as the checkpoint's, work
+        fh = real_open(file, mode, *args, **kwargs)
+        return _FailsHalfway(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(gridcast.model, "open", full_disk_open, raising=False)
     capsys.readouterr()
     if writer == "forecast --out-file":
         assert write() == 1

@@ -42,11 +42,11 @@ DIGESTS = {
         " AVX512BITALG AVX512FP16 AVX512BF16 AVX512_SKX X86_V4 AVX512_CLX AVX512_CNL"
         " AVX512_ICL AVX512_SPR",
     ): {
-        "channel_first": "5ca72411da0f4a88fec76dc625e4b7e7868f1fde2535db739ce8d7392596ff23",
-        "time_first": "1bd979f531442863e012a97647e2601637abd308bf15b14e2d8898a30d9bb291",
-        "alternate": "a0d0d372c765298e984570d662567af6d7fce512cc670a4cb72cb589b339b762",
-        "horizontal_only": "f914bd01da06eb791d5c620b9371a53dfbdd08ec9c2ce38567e6a905b15fe1f5",
-        "vertical_only": "9a6df7b783bf22ceb8f12852fc388c5e1d0bc12e6df54db82ef4de19ff6c0941",
+        "channel_first": "464e4edaacac4019e0e45294e06d4178b1950fbacbe6275cefcb946a8f5972fe",
+        "time_first": "921982a5886ad6a47dc39fdce200e7a86679afcb09c0b7c95a8b7004e4236eba",
+        "alternate": "22f423283302e1c2cf968464b01a66290db641a4041b63f63be58e65979425dd",
+        "horizontal_only": "0f100a759ddd7a5e978b3b4cd056d4ef9b7d0283378156ca25950c57ae2e9d4d",
+        "vertical_only": "d94d6358d28fffea379f99d8b884e453d0919fc8c7143ec711f52d198c7e1243",
     },
 }
 

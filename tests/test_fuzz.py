@@ -6,7 +6,8 @@ of a tiny trained checkpoint, a data CSV, a forecast window and a written
 ``train``, in process. Every case must exit 0, 1 or 2; print nothing on
 stderr on 0 and exactly one line otherwise; raise nothing out of ``main``
 (the CLI's traceback); and leave no ``*.tmp`` file behind. A warning counts
-as the lines the CLI would print for it.
+as the lines the CLI would print for it, and a file left open as the
+``ResourceWarning`` its release raises.
 """
 
 import contextlib
@@ -104,12 +105,13 @@ def _argv(command, kind, case, inputs):
 
 
 def _run(argv):
-    """(exit code, stderr as the CLI would print it) of ``main(argv)``."""
+    """(exit code, stderr as the CLI would print it) of ``main(argv)``. A file
+    the command left open counts as the ``ResourceWarning`` its release
+    raises, which ``python -X dev`` prints."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            warnings.simplefilter("ignore", ResourceWarning)  # as a process without -X dev
             try:
                 code = main(argv)
             except (Exception, SystemExit):

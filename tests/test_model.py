@@ -1,8 +1,10 @@
 import collections
 import csv
 import dataclasses
+import gc
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -423,6 +425,26 @@ def test_checkpoint_rejects_truncated_file(tmp_path):
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(ConfigError, match="cannot read checkpoint"):
         load_checkpoint(path)
+
+
+def test_loading_a_checkpoint_closes_its_file_on_every_path(tmp_path):
+    # np.load(path) leaves the file it opened to the garbage collector when
+    # the zip directory cannot be read, which ``python -X dev`` prints as a
+    # ResourceWarning; a readable checkpoint, a foreign file and an empty one
+    # close theirs too
+    path = saved_checkpoint(tmp_path)
+    data = path.read_bytes()
+    (tmp_path / "half.ckpt").write_bytes(data[: len(data) // 2])
+    (tmp_path / "empty.ckpt").write_bytes(b"")
+    (tmp_path / "data.csv").write_text("a,b\n1,2\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        load_checkpoint(path)
+        for name in ("half.ckpt", "empty.ckpt", "data.csv"):
+            with pytest.raises(ConfigError):
+                load_checkpoint(tmp_path / name)
+        gc.collect()
+    assert [str(w.message) for w in caught] == []
 
 
 def test_checkpoint_rejects_damaged_bytes(tmp_path):

@@ -21,12 +21,11 @@ from gridcast.tensor import (
     BatchNormState,
     Tensor,
     batch_norm,
-    checkpoint,
     dropout,
     grad_check,
     no_grad,
 )
-from oracles import attention_core, project_heads
+from oracles import attention_core, checkpoint, feed_forward_graph, project_heads
 
 
 def rng(seed=0):
@@ -457,7 +456,7 @@ def test_graph_frees_intermediates_backward_twice_adds_twice():
     g *= s
     loss.backward()
     np.testing.assert_array_equal(A.grad, np.matmul(g, b_data.T))
-    np.testing.assert_array_equal(B.grad, np.matmul(np.swapaxes(a_data, -1, -2), g).sum(axis=0))
+    np.testing.assert_array_equal(B.grad, np.matmul(a_data.reshape(-1, 4).T, g.reshape(-1, 5)))
     first_a, first_b = A.grad.copy(), B.grad.copy()
     loss.backward()
     np.testing.assert_array_equal(A.grad, first_a + first_a)
@@ -508,7 +507,33 @@ def test_matmul_by_a_constant_forms_no_gradient_for_it():
     g = r.normal(size=(2, 3, 5))
     gc_, gw = out._vjp(g)
     assert gc_ is None
-    np.testing.assert_array_equal(gw, np.matmul(np.swapaxes(c, -1, -2), g).sum(axis=0))
+    np.testing.assert_array_equal(gw, np.matmul(c.reshape(-1, 4).T, g.reshape(-1, 5)))
+
+
+def test_a_weights_gradient_is_one_gemm_over_every_row(monkeypatch):
+    # a 2-d weight fed a [2, 3, 6, 4] input: one [4, 36] x [36, 5] product,
+    # no per-batch [2, 3, 4, 5] products and no sum over them
+    r = rng(44)
+    x = Tensor(r.normal(size=(2, 3, 6, 4)))
+    w = Tensor(r.normal(size=(4, 5)), requires_grad=True)
+    out = x @ w
+    calls = []
+    matmul, einsum = np.matmul, np.einsum
+
+    def counting_matmul(*args, **kwargs):
+        calls.append(tuple(np.shape(a) for a in args))
+        return matmul(*args, **kwargs)
+
+    def counting_einsum(*args, **kwargs):
+        calls.append("einsum")
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting_matmul)
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    out.backward(np.ones(out.shape))
+    assert calls == [((4, 36), (36, 5))]
+    monkeypatch.setattr(np, "matmul", matmul)
+    np.testing.assert_array_equal(w.grad, x.data.reshape(36, 4).T @ np.ones((36, 5)))
 
 
 # -- checkpoint --------------------------------------------------------------
@@ -528,19 +553,21 @@ def _ffn_inputs(shape, D_ff, seed, need_y=True):
 def test_checkpoint_is_the_plain_graph_bit_for_bit(shape, D_ff):
     # y also feeds a residual sum, as in the encoder, so its two gradients add
     g = rng(50).normal(size=shape)
+    # and the encoder's own FFN node, the tiled form of the same recompute
     results = []
-    for ffn in (feed_forward, lambda *ts: checkpoint(feed_forward, *ts)):
+    for ffn in (feed_forward_graph, lambda *ts: checkpoint(feed_forward_graph, *ts), feed_forward):
         y, w_in, w_out = _ffn_inputs(shape, D_ff, 51)
         out = y + ffn(y, w_in, w_out)
         out.backward(g)
         results.append([out.data, y.grad, w_in.grad, w_out.grad])
-    for plain, checkpointed in zip(*results):
+    for plain, checkpointed, node in zip(*results):
         np.testing.assert_array_equal(checkpointed, plain)
+        np.testing.assert_array_equal(node, plain)
 
 
 def test_checkpoint_keeps_only_its_inputs_arrays():
     y, w_in, w_out = _ffn_inputs((2, 3, 4), 8, 52)
-    out = checkpoint(feed_forward, y, w_in, w_out)
+    out = checkpoint(feed_forward_graph, y, w_in, w_out)
     kept = _captured_arrays(out)
     assert len(kept) == 3 and all(any(a is t.data for a in kept) for t in (y, w_in, w_out))
 
@@ -556,7 +583,7 @@ def test_checkpoint_forms_no_product_for_an_input_that_needs_none(monkeypatch):
     grads = {}
     for need_y in (True, False):
         y, w_in, w_out = _ffn_inputs((2, 3, 4), 5, 53, need_y)
-        out = checkpoint(feed_forward, y, w_in, w_out)
+        out = checkpoint(feed_forward_graph, y, w_in, w_out)
         monkeypatch.setattr(np, "matmul", counting_matmul)
         calls.clear()
         out.backward(np.ones(out.shape))
@@ -575,13 +602,13 @@ def test_checkpoint_under_no_grad_builds_no_node():
 
     def ffn(*ts):
         calls.append(1)
-        return feed_forward(*ts)
+        return feed_forward_graph(*ts)
 
     inputs = _ffn_inputs((2, 3, 4), 5, 54)
     with no_grad():
         out = checkpoint(ffn, *inputs)
     assert out._node is None and not out.requires_grad and len(calls) == 1
-    np.testing.assert_array_equal(out.data, feed_forward(*inputs).data)
+    np.testing.assert_array_equal(out.data, feed_forward_graph(*inputs).data)
 
 
 def test_dropped_graph_frees_its_leaf_without_the_cycle_collector():
